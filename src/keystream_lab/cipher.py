@@ -1,22 +1,22 @@
 """EChaCha20 core: 6x6 state, extended quarter round, block function, keystream.
 
 The extended quarter round mixes four 32-bit words through six add/xor/rotate
-lines with rotation amounts (16, 12, 8, 7, 4, 2).  Two line orderings are
-supported:
+lines with rotation amounts (16, 12, 8, 7, 4, 2).  Each line ordering is a row
+table in :data:`LINE_ORDERS`: ``"native"`` (default) holds the six lines as
+printed in the cipher's description; ``"rfc"`` is the RFC-style ChaCha d/b
+target alternation extended with a 4-bit and a 2-bit line.
 
-* ``"native"`` (default): the six lines exactly as printed in the cipher's
-  description, where the 8-bit line rotates into ``b`` and the 7-bit line
-  rotates into ``c``.
-* ``"rfc"``: the RFC-style ChaCha target pattern (d/b alternation) extended
-  with two extra 4-bit and 2-bit lines.
-
-A reference 4x4 ChaCha20 block function is included for comparative runs.
+:func:`qrf_vec` interprets the tables over Python ints or uint32 arrays, and
+:func:`block_words_batch` runs each round as wavefronts of disjoint quads, one
+gather, quarter round and scatter per wavefront.  :func:`block`,
+:func:`keystream`, :func:`xor_encrypt` and the reference 4x4 ChaCha20 block
+(the first four ``rfc`` lines, rotations 16, 12, 8, 7) all run through them.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,12 +45,35 @@ def rotl32(x: int, r: int) -> int:
     return ((x << r) | (x >> (32 - r))) & MASK32
 
 
-def _rot_width(x: int, r: int, bits: int) -> int:
-    mask = (1 << bits) - 1
-    r %= bits
-    if r == 0:
-        return x & mask
-    return ((x << r) | (x >> (bits - r))) & mask
+#: Quarter-round line orderings: per line (add target, add source,
+#: xor/rotate target) over the word indices a=0, b=1, c=2, d=3.
+LINE_ORDERS = {
+    "native": ((0, 1, 3), (1, 2, 2), (2, 3, 1), (3, 0, 2), (0, 1, 3), (1, 2, 2)),
+    "rfc": ((0, 1, 3), (2, 3, 1)) * 3,
+}
+
+
+def qrf_vec(a, b, c, d, rotations=ROTATIONS, variant="native", word_bits=32):
+    """Extended quarter round over Python ints or numpy uint32 arrays.
+
+    Runs the lines of ``LINE_ORDERS[variant]``, line ``i`` rotating by
+    ``rotations[i]`` (a shorter ``rotations`` runs only that many lines).
+    Inputs are not modified.  ``word_bits`` narrows the words (rotations
+    reduced mod width); widths other than 32 exist only as verification
+    scaffolding for exhaustive cross-checks at small scale.
+    """
+    try:
+        lines = LINE_ORDERS[variant]
+    except KeyError:
+        raise ValueError(f"unknown qrf variant: {variant!r}") from None
+    mask = (1 << word_bits) - 1
+    v = [a, b, c, d]
+    for (t, s, x), r in zip(lines, rotations):
+        v[t] = (v[t] + v[s]) & mask
+        y = v[x] ^ v[t]
+        r %= word_bits
+        v[x] = ((y << r) | (y >> (word_bits - r))) & mask if r else y & mask
+    return tuple(v)
 
 
 def qrf(
@@ -59,65 +82,8 @@ def qrf(
     variant: str = "native",
     word_bits: int = 32,
 ) -> tuple[int, int, int, int]:
-    """Apply one extended quarter round to ``(a, b, c, d)``.
-
-    ``word_bits`` narrows the words (rotations reduced mod width); widths
-    other than 32 exist only as verification scaffolding for exhaustive
-    cross-checks at small scale.
-    """
-    a, b, c, d = quad
-    mask = (1 << word_bits) - 1
-    r0, r1, r2, r3, r4, r5 = rotations
-    if variant == "native":
-        a = (a + b) & mask; d = _rot_width(d ^ a, r0, word_bits)
-        b = (b + c) & mask; c = _rot_width(c ^ b, r1, word_bits)
-        c = (c + d) & mask; b = _rot_width(b ^ c, r2, word_bits)
-        d = (d + a) & mask; c = _rot_width(c ^ d, r3, word_bits)
-        a = (a + b) & mask; d = _rot_width(d ^ a, r4, word_bits)
-        b = (b + c) & mask; c = _rot_width(c ^ b, r5, word_bits)
-    elif variant == "rfc":
-        a = (a + b) & mask; d = _rot_width(d ^ a, r0, word_bits)
-        c = (c + d) & mask; b = _rot_width(b ^ c, r1, word_bits)
-        a = (a + b) & mask; d = _rot_width(d ^ a, r2, word_bits)
-        c = (c + d) & mask; b = _rot_width(b ^ c, r3, word_bits)
-        a = (a + b) & mask; d = _rot_width(d ^ a, r4, word_bits)
-        c = (c + d) & mask; b = _rot_width(b ^ c, r5, word_bits)
-    else:
-        raise ValueError(f"unknown qrf variant: {variant!r}")
-    return a, b, c, d
-
-
-def qrf_vec(a, b, c, d, rotations=ROTATIONS, variant="native", word_bits=32):
-    """Vectorised quarter round over numpy uint32 arrays (in-place semantics).
-
-    Returns new arrays; for word_bits < 32 the values are masked to width.
-    """
-    mask = np.uint32((1 << word_bits) - 1)
-
-    def rot(x, r):
-        r %= word_bits
-        if r == 0:
-            return x & mask
-        return ((x << np.uint32(r)) | ((x & mask) >> np.uint32(word_bits - r))) & mask
-
-    r0, r1, r2, r3, r4, r5 = rotations
-    if variant == "native":
-        a = (a + b) & mask; d = rot(d ^ a, r0)
-        b = (b + c) & mask; c = rot(c ^ b, r1)
-        c = (c + d) & mask; b = rot(b ^ c, r2)
-        d = (d + a) & mask; c = rot(c ^ d, r3)
-        a = (a + b) & mask; d = rot(d ^ a, r4)
-        b = (b + c) & mask; c = rot(c ^ b, r5)
-    elif variant == "rfc":
-        a = (a + b) & mask; d = rot(d ^ a, r0)
-        c = (c + d) & mask; b = rot(b ^ c, r1)
-        a = (a + b) & mask; d = rot(d ^ a, r2)
-        c = (c + d) & mask; b = rot(b ^ c, r3)
-        a = (a + b) & mask; d = rot(d ^ a, r4)
-        c = (c + d) & mask; b = rot(b ^ c, r5)
-    else:
-        raise ValueError(f"unknown qrf variant: {variant!r}")
-    return a, b, c, d
+    """Apply one extended quarter round to ``(a, b, c, d)`` (see :func:`qrf_vec`)."""
+    return qrf_vec(*quad, rotations, variant, word_bits)
 
 
 def _check_words(name: str, words, expected: int) -> tuple[int, ...]:
@@ -158,30 +124,22 @@ class KeyMaterial:
 
 @dataclass(frozen=True)
 class CipherConfig:
-    """Cipher variant and round configuration.
+    """Round configuration of the EChaCha20 block.
 
     ``rounds`` must be a positive even integer (default 20); zero rounds is
     allowed only when ``allow_degenerate_rounds`` is set (debug use: the block
     output is then the serialised doubled initial state, via feed-forward).
     """
 
-    variant: str = "echacha20"
     rounds: int = 20
     schedule: str = "echacha-colrow-v1"
-    qrf_variant: str = ""
     padding: str = "zero"
     nonce_bits: int = 128
     allow_degenerate_rounds: bool = False
 
     def __post_init__(self):
-        if self.variant not in ("echacha20", "chacha20"):
-            raise ValueError(f"unknown variant {self.variant!r}")
         if self.schedule not in SCHEDULE_PRESETS:
             raise ValueError(f"unknown schedule preset {self.schedule!r}")
-        if not self.qrf_variant:
-            object.__setattr__(self, "qrf_variant", SCHEDULE_PRESETS[self.schedule])
-        if self.qrf_variant not in ("native", "rfc"):
-            raise ValueError(f"unknown qrf variant {self.qrf_variant!r}")
         if self.padding not in ("zero", "constant"):
             raise ValueError(f"unknown padding rule {self.padding!r}")
         if self.nonce_bits not in (64, 128):
@@ -192,25 +150,48 @@ class CipherConfig:
         elif self.rounds < 2 or self.rounds % 2 != 0:
             raise ValueError("rounds must be a positive even integer")
 
-
-def _column_quads() -> list[tuple[int, int, int, int]]:
-    quads = []
-    for i in range(6):
-        quads.append((i, 6 + i, 12 + i, 18 + i))
-        quads.append((12 + i, 18 + i, 24 + i, 30 + i))
-    return quads
+    @property
+    def qrf_variant(self) -> str:
+        """Quarter-round line ordering selected by the schedule preset."""
+        return SCHEDULE_PRESETS[self.schedule]
 
 
-def _diagonal_quads() -> list[tuple[int, int, int, int]]:
+def _quads(step: int) -> list[tuple[int, int, int, int]]:
+    """The 12 quads of a round in mixing order: per j, the top quad takes
+    column (j + k * step) mod 6 of row k, and the bottom quad is the top
+    quad two rows lower."""
     quads = []
     for j in range(6):
-        quads.append((j, 6 + (j + 1) % 6, 12 + (j + 2) % 6, 18 + (j + 3) % 6))
-        quads.append((12 + j, 18 + (j + 1) % 6, 24 + (j + 2) % 6, 30 + (j + 3) % 6))
+        top = tuple(6 * k + (j + k * step) % 6 for k in range(4))
+        quads += [top, tuple(i + 12 for i in top)]
     return quads
 
 
-COLUMN_QUADS = _column_quads()
-DIAGONAL_QUADS = _diagonal_quads()
+COLUMN_QUADS = _quads(0)
+DIAGONAL_QUADS = _quads(1)
+
+
+def _wavefronts(quads) -> tuple[np.ndarray, ...]:
+    """Split one round's quads into waves of disjoint quads, each a (4, k)
+    index array.  A quad joins the wave after the last earlier quad it shares
+    a word with, so running the waves in turn equals the list order."""
+    waves: list[list] = []
+    wave_of: dict[int, int] = {}    # word -> wave of the last quad touching it
+    for quad in quads:
+        k = 1 + max((wave_of[i] for i in quad if i in wave_of), default=-1)
+        if k == len(waves):
+            waves.append([])
+        waves[k].append(quad)
+        wave_of.update(dict.fromkeys(quad, k))
+    return tuple(np.array(wave).T for wave in waves)
+
+
+#: Wavefronts of the even (column) and odd (diagonal) rounds.
+BLOCK_WAVES = (_wavefronts(COLUMN_QUADS), _wavefronts(DIAGONAL_QUADS))
+CHACHA20_WAVES = (
+    _wavefronts([(0, 4, 8, 12), (1, 5, 9, 13), (2, 6, 10, 14), (3, 7, 11, 15)]),
+    _wavefronts([(0, 5, 10, 15), (1, 6, 11, 12), (2, 7, 8, 13), (3, 4, 9, 14)]),
+)
 
 
 def init_state(km: KeyMaterial, config: CipherConfig) -> list[int]:
@@ -240,69 +221,52 @@ def init_state(km: KeyMaterial, config: CipherConfig) -> list[int]:
 COUNTER_BASE = 16  # index of counter word c0 in the flattened state
 
 
-def block(state: list[int], config: CipherConfig) -> bytes:
-    """Run the configured rounds over a copy of ``state`` and serialise.
-
-    Even rounds mix column quads, odd rounds mix wrapped diagonals; the
-    initial state is added back word-wise (feed-forward) before little-endian
-    serialisation to 144 bytes.
-    """
-    if len(state) != STATE_WORDS:
-        raise ValueError("state must have 36 words")
-    w = list(state)
-    for r in range(config.rounds):
-        quads = COLUMN_QUADS if r % 2 == 0 else DIAGONAL_QUADS
-        for ai, bi, ci, di in quads:
-            w[ai], w[bi], w[ci], w[di] = qrf(
-                (w[ai], w[bi], w[ci], w[di]), variant=config.qrf_variant
-            )
-    out = [(x + y) & MASK32 for x, y in zip(w, state)]
-    return struct.pack("<36I", *out)
+def _run_block(states, rounds, waves, variant, rotations=ROTATIONS):
+    """Run ``rounds`` rounds over a copy of the (words, B) uint32 array
+    ``states`` (round r runs ``waves[r % 2]``), then add ``states`` back."""
+    w = states.copy()
+    for r in range(rounds):
+        for idx in waves[r % 2]:
+            w[idx] = qrf_vec(*w[idx], rotations, variant)
+    return w + states
 
 
 def block_words_batch(states: np.ndarray, config: CipherConfig) -> np.ndarray:
-    """Vectorised block function over a (36, B) uint32 state array.
+    """Block function over a (36, B) uint32 state array: the (36, B) output
+    words.
 
-    Bit-identical to mapping :func:`block` over the columns; used by the
-    dataset pipeline for batch generation.
+    Even rounds mix column quads, odd rounds mix wrapped diagonals; the
+    initial state is added back word-wise (feed-forward).
     """
     if states.shape[0] != STATE_WORDS:
         raise ValueError("states must have shape (36, B)")
-    w = states.astype(np.uint32, copy=True)
-    with np.errstate(over="ignore"):
-        for r in range(config.rounds):
-            quads = COLUMN_QUADS if r % 2 == 0 else DIAGONAL_QUADS
-            for ai, bi, ci, di in quads:
-                w[ai], w[bi], w[ci], w[di] = qrf_vec(
-                    w[ai], w[bi], w[ci], w[di], variant=config.qrf_variant
-                )
-        out = w + states.astype(np.uint32)
-    return out
+    states = states.astype(np.uint32, copy=False)
+    return _run_block(states, config.rounds, BLOCK_WAVES, config.qrf_variant)
 
 
-def _increment_counter(counter: tuple[int, ...]) -> tuple[int, ...]:
-    words = list(counter)
-    for i in range(4):
-        words[i] = (words[i] + 1) & MASK32
-        if words[i] != 0:
-            return tuple(words)
-    raise CounterOverflowError("128-bit block counter overflow")
+def block(state: list[int], config: CipherConfig) -> bytes:
+    """One block of ``state``, serialised little-endian to 144 bytes."""
+    if len(state) != STATE_WORDS:
+        raise ValueError("state must have 36 words")
+    words = block_words_batch(np.array(state, dtype=np.uint32)[:, None], config)
+    return words.astype("<u4").tobytes()
 
 
 def keystream(km: KeyMaterial, n_blocks: int, config: CipherConfig) -> bytes:
-    """Concatenated blocks with the counter incremented per block."""
+    """Concatenated blocks with the 128-bit counter incremented per block."""
     if n_blocks < 1:
         raise ValueError("n_blocks must be >= 1")
-    out = bytearray()
-    counter = km.counter
-    for i in range(n_blocks):
-        state = init_state(
-            KeyMaterial(km.key, km.nonce, counter), config
-        )
-        out += block(state, config)
-        if i + 1 < n_blocks:
-            counter = _increment_counter(counter)
-    return bytes(out)
+    state = init_state(km, config)
+    first = sum(w << (32 * i) for i, w in enumerate(km.counter))
+    if first + n_blocks > 1 << 128:
+        raise CounterOverflowError("128-bit block counter overflow")
+    states = np.repeat(np.array(state, dtype=np.uint32)[:, None], n_blocks, axis=1)
+    carry = np.arange(n_blocks, dtype=np.uint64)
+    for i, word in enumerate(km.counter):
+        total = carry + word
+        states[COUNTER_BASE + i] = total & MASK32
+        carry = total >> 32
+    return block_words_batch(states, config).T.astype("<u4").tobytes()
 
 
 def xor_encrypt(plaintext: bytes, km: KeyMaterial, config: CipherConfig) -> bytes:
@@ -310,18 +274,11 @@ def xor_encrypt(plaintext: bytes, km: KeyMaterial, config: CipherConfig) -> byte
     if not plaintext:
         return b""
     n_blocks = (len(plaintext) + BLOCK_BYTES - 1) // BLOCK_BYTES
-    ks = keystream(km, n_blocks, config)
-    return bytes(p ^ k for p, k in zip(plaintext, ks))
+    ks = np.frombuffer(keystream(km, n_blocks, config), np.uint8, len(plaintext))
+    return (np.frombuffer(plaintext, np.uint8) ^ ks).tobytes()
 
 
 # --- reference 4x4 ChaCha20 ------------------------------------------------
-
-def _chacha_qr(s: list[int], a: int, b: int, c: int, d: int) -> None:
-    s[a] = (s[a] + s[b]) & MASK32; s[d] = rotl32(s[d] ^ s[a], 16)
-    s[c] = (s[c] + s[d]) & MASK32; s[b] = rotl32(s[b] ^ s[c], 12)
-    s[a] = (s[a] + s[b]) & MASK32; s[d] = rotl32(s[d] ^ s[a], 8)
-    s[c] = (s[c] + s[d]) & MASK32; s[b] = rotl32(s[b] ^ s[c], 7)
-
 
 def chacha20_block(km: KeyMaterial) -> bytes:
     """Standard 20-round ChaCha20 block (64 bytes).
@@ -331,16 +288,6 @@ def chacha20_block(km: KeyMaterial) -> bytes:
     """
     if any(km.counter[1:]) or km.nonce[3]:
         raise ValueError("chacha20 uses a 32-bit counter and 96-bit nonce")
-    state = list(CONSTANTS) + list(km.key) + [km.counter[0]] + list(km.nonce[:3])
-    w = list(state)
-    for _ in range(10):
-        _chacha_qr(w, 0, 4, 8, 12)
-        _chacha_qr(w, 1, 5, 9, 13)
-        _chacha_qr(w, 2, 6, 10, 14)
-        _chacha_qr(w, 3, 7, 11, 15)
-        _chacha_qr(w, 0, 5, 10, 15)
-        _chacha_qr(w, 1, 6, 11, 12)
-        _chacha_qr(w, 2, 7, 8, 13)
-        _chacha_qr(w, 3, 4, 9, 14)
-    out = [(x + y) & MASK32 for x, y in zip(w, state)]
-    return struct.pack("<16I", *out)
+    states = np.array([CONSTANTS + km.key + km.counter[:1] + km.nonce[:3]], np.uint32).T
+    out = _run_block(states, 20, CHACHA20_WAVES, "rfc", ROTATIONS[:4])
+    return out.astype("<u4").tobytes()

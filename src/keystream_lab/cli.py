@@ -28,8 +28,23 @@ class AnalysisFailure(Exception):
     pass
 
 
-def _default_seed() -> int:
-    return int(os.environ.get("KEYSTREAM_LAB_SEED", "0"))
+def _default_seed() -> str:
+    # argparse converts a string default with the option's type at parse
+    # time, so a malformed KEYSTREAM_LAB_SEED is reported as a usage error
+    return os.environ.get("KEYSTREAM_LAB_SEED", "0")
+
+
+def _seed(text: str) -> int:
+    """argparse type of ``--seed``: an integer in [0, 2^64)."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or not 0 <= value < 1 << 64:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} (--seed or KEYSTREAM_LAB_SEED) is not an integer in [0, 2^64)"
+        )
+    return value
 
 
 def _cipher_config(preset: str) -> cipher.CipherConfig:
@@ -62,6 +77,9 @@ def cmd_scan(args) -> int:
     patterns = []
     for i, hex_pat in enumerate(args.pattern):
         raw = bytes.fromhex(hex_pat)
+        if args.alphabet == "word" and len(raw) % 4:
+            raise ValueError(f"pattern {hex_pat!r} is not a whole number of "
+                             "32-bit words")
         pstream = search.SymbolStream.from_bytes(raw, args.alphabet)
         patterns.append(
             search.WordPattern(pstream.symbols, f"p{i}", args.alphabet)
@@ -155,6 +173,9 @@ def cmd_diff(args) -> int:
 
 
 def cmd_avalanche(args) -> int:
+    if args.rounds < 1:
+        # rounds=0 is the library's identity profile, not a measurement
+        raise ValueError("--rounds must be >= 1")
     profile = diff.avalanche_profile(args.rounds, args.trials, rng_seed=args.seed)
     means = profile.word_means
     for name, mean in zip("abcd", means):
@@ -264,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="generate a keystream dataset")
     p.add_argument("--mode", choices=["fixed", "variable"], default="fixed")
     p.add_argument("--blocks", type=int, default=10_000)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=_seed, default=_default_seed())
     p.add_argument("--preset", choices=sorted(cipher.SCHEDULE_PRESETS),
                    default="echacha-colrow-v1")
     p.add_argument("--entropy", choices=["seeded", "os"], default="seeded")
@@ -294,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("diff", help="rotational-differential campaign")
     p.add_argument("--trials", type=int, default=1 << 20)
     p.add_argument("--rounds", type=int, nargs="+", default=[1, 2, 4, 8])
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=_seed, default=_default_seed())
     p.add_argument("--include-zero-control", action="store_true")
     p.add_argument("--out-dir", default="reports")
     p.set_defaults(func=cmd_diff)
@@ -302,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("avalanche", help="bit-flip probability profile")
     p.add_argument("--rounds", type=int, default=2)
     p.add_argument("--trials", type=int, default=10_000)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=_seed, default=_default_seed())
     p.add_argument("--out")
     p.set_defaults(func=cmd_avalanche)
 
@@ -310,13 +331,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sets", default="16,12,8,7,4,2;7,9,13,18,4,2;17,13,9,5,3,2")
     p.add_argument("--trials", type=int, default=1 << 18)
     p.add_argument("--rounds", type=int, nargs="+", default=[4])
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=_seed, default=_default_seed())
     p.add_argument("--out")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("bench", help="engine throughput and accuracy")
     p.add_argument("--size-mb", type=int, default=2)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=_seed, default=_default_seed())
     p.add_argument("--skip-relative-check", action="store_true")
     p.add_argument("--out")
     p.set_defaults(func=cmd_bench)
@@ -325,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["fixed", "variable"], default="fixed")
     p.add_argument("--blocks", type=int, default=10_000)
     p.add_argument("--trials", type=int, default=1 << 20)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=_seed, default=_default_seed())
     p.add_argument("--preset", choices=sorted(cipher.SCHEDULE_PRESETS),
                    default="echacha-colrow-v1")
     p.add_argument("--out-dir", default="reports")

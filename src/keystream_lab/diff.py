@@ -57,6 +57,8 @@ class TrialConfig:
             raise ValueError("trials must be >= 2^10")
         if not self.rounds:
             raise ValueError("rounds set must be nonempty")
+        if min(self.rounds) < 1:
+            raise ValueError("round counts must be >= 1")
         object.__setattr__(self, "rounds", tuple(sorted(set(self.rounds))))
 
 

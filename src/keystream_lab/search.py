@@ -1,10 +1,9 @@
 """Exact pattern matching over keystream data.
 
 Engines: brute force (ground-truth oracle), KMP, Boyer-Moore, and a windowed
-hybrid that jumps with the bad-character rule and verifies candidates with
-the KMP prefix table.  Streams carry an alphabet tag: ``"byte"`` (8-bit
-symbols) or ``"word"`` (32-bit symbols); all engines compare symbols as whole
-units.
+hybrid that jumps with the bad-character rule and verifies candidates symbol
+by symbol.  Streams carry an alphabet tag: ``"byte"`` (8-bit symbols) or
+``"word"`` (32-bit symbols); all engines compare symbols as whole units.
 """
 
 from __future__ import annotations
@@ -257,21 +256,15 @@ class HybridConfig:
         return self.window_bits // bits
 
 
-def _fold_mismatch(a, b) -> bool:
-    # XOR fold of the aligned first symbols; nonzero fold rules the
-    # alignment out (fold zero is necessary for equality), so the filter
-    # never drops a true occurrence
-    return (a ^ b) != 0
-
-
 def hybrid_search(
     text: SymbolStream,
     patterns: list[WordPattern],
     config: HybridConfig | None = None,
 ) -> tuple[dict[str, MatchReport], set[str]]:
-    """Windowed scan: bad-character jumps locate candidates, the KMP prefix
-    table verifies them, and per-pattern empirical probabilities are compared
-    against 2^-|P| plus a 3-sigma sampling-error margin.
+    """Windowed scan: bad-character jumps locate candidates whose last and
+    first symbols match, a left-to-right symbol comparison verifies them, and
+    per-pattern empirical probabilities are compared against 2^-|P| plus a
+    3-sigma sampling-error margin.
 
     Returns per-pattern reports plus the set of flagged pattern ids.  The
     flag rule never changes the reported positions; the union of positions
@@ -294,7 +287,6 @@ def hybrid_search(
     for pattern in patterns:
         p = pattern.symbols
         m = len(p)
-        pi = kmp_preprocess(pattern).pi
         # Horspool-style last-occurrence table over the first m-1 symbols
         jump = {}
         for idx in range(m - 1):
@@ -309,8 +301,7 @@ def hybrid_search(
             while s < stop:
                 last_sym = t[s + m - 1]
                 report.comparisons += 1
-                if last_sym == p[m - 1] and not _fold_mismatch(t[s], p[0]):
-                    # KMP verification of the candidate window
+                if last_sym == p[m - 1] and t[s] == p[0]:
                     j = 0
                     while j < m:
                         report.comparisons += 1

@@ -47,12 +47,33 @@ def qrf_inverse(a, b, c, d):
     return a, b, c, d
 
 
-def reference_block(state, rounds=20):
-    """Independent 6x6 block function over the documented schedule."""
+def qrf_rfc(a, b, c, d, bits=32):
+    """Straight-line transcription of the rfc line ordering (ChaCha's d/b
+    target alternation extended with a 4-bit and a 2-bit line); ``bits``
+    narrows the words as in :func:`qrf_small`."""
+    mask = (1 << bits) - 1
+    a = (a + b) & mask
+    d = rot(d ^ a, 16, bits)
+    c = (c + d) & mask
+    b = rot(b ^ c, 12, bits)
+    a = (a + b) & mask
+    d = rot(d ^ a, 8, bits)
+    c = (c + d) & mask
+    b = rot(b ^ c, 7, bits)
+    a = (a + b) & mask
+    d = rot(d ^ a, 4, bits)
+    c = (c + d) & mask
+    b = rot(b ^ c, 2, bits)
+    return a, b, c, d
+
+
+def reference_block(state, rounds=20, quarter_round=qrf_forward):
+    """Independent 6x6 block function over the documented schedule;
+    ``quarter_round(a, b, c, d)`` selects the line ordering."""
     w = list(state)
 
     def mix(ai, bi, ci, di):
-        w[ai], w[bi], w[ci], w[di] = qrf_forward(w[ai], w[bi], w[ci], w[di])
+        w[ai], w[bi], w[ci], w[di] = quarter_round(w[ai], w[bi], w[ci], w[di])
 
     for r in range(rounds):
         if r % 2 == 0:

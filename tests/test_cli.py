@@ -41,6 +41,28 @@ class TestGen:
         assert run(["gen", "--blocks", "1", "--out",
                     "/nonexistent-dir/x.txt"]) == cli.EXIT_IO
 
+    def test_seed_from_environment(self, tmp_path, monkeypatch):
+        p1, p2 = tmp_path / "a.txt", tmp_path / "b.txt"
+        assert run(["gen", "--blocks", "4", "--seed", "5", "--out", str(p1)]) == cli.EXIT_OK
+        monkeypatch.setenv("KEYSTREAM_LAB_SEED", "5")
+        assert run(["gen", "--blocks", "4", "--out", str(p2)]) == cli.EXIT_OK
+        assert p1.read_bytes() == p2.read_bytes()
+
+    def test_non_integer_seed_environment_is_usage_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("KEYSTREAM_LAB_SEED", "0x1f")
+        out = tmp_path / "x.txt"
+        assert run(["gen", "--blocks", "1", "--out", str(out)]) == cli.EXIT_USAGE
+        assert "KEYSTREAM_LAB_SEED" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["-1", str(1 << 64)])
+    def test_out_of_range_seed_is_usage_error(self, tmp_path, value, capsys):
+        out = tmp_path / "x.txt"
+        assert run(["gen", "--blocks", "1", "--seed", value,
+                    "--out", str(out)]) == cli.EXIT_USAGE
+        assert "--seed" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestScan:
     def test_pattern_found(self, small_dataset, tmp_path, capsys):
@@ -77,6 +99,12 @@ class TestScan:
     def test_missing_dataset_io_error(self):
         assert run(["scan", "--dataset", "/no/such/file", "--pattern",
                     "00000000"]) == cli.EXIT_IO
+
+    def test_partial_word_pattern_usage_error(self, small_dataset, capsys):
+        # 6 bytes are one and a half 32-bit words; nothing may be dropped
+        assert run(["scan", "--dataset", str(small_dataset), "--pattern",
+                    "deadbeefcafe", "--alphabet", "word"]) == cli.EXIT_USAGE
+        assert "matches" not in capsys.readouterr().out
 
 
 class TestFreq:
@@ -134,6 +162,23 @@ class TestDiffCommands:
                   "--seed", "0", "--out", str(out)])
         assert rc == cli.EXIT_OK
         assert capsys.readouterr().out.count("mean_flipped") == 2
+
+    @pytest.mark.parametrize("rounds", ["0", "-2"])
+    @pytest.mark.parametrize("argv", [
+        ["diff", "--trials", str(1 << 10), "--rounds", "1"],
+        ["sweep", "--trials", str(1 << 10), "--rounds"],
+        ["avalanche", "--trials", "10", "--rounds"],
+    ], ids=["diff", "sweep", "avalanche"])
+    def test_non_positive_rounds_usage_error(self, tmp_path, argv, rounds, capsys):
+        # zero rounds report zero collisions or the identity profile: a
+        # vacuous pass
+        if argv[0] == "diff":
+            out = ["--out-dir", str(tmp_path)]
+        else:
+            out = ["--out", str(tmp_path / "x.csv")]
+        assert run(argv + [rounds] + out) == cli.EXIT_USAGE
+        assert not capsys.readouterr().out
+        assert list(tmp_path.iterdir()) == []
 
     def test_invalid_sweep_set_usage_error(self):
         assert run(["sweep", "--sets", "1,2,3", "--trials", str(1 << 10),
