@@ -115,6 +115,8 @@ class KeyMaterial:
             raise ValueError("key must be 32 bytes")
         if len(nonce) not in (0, 8, 16):
             raise ValueError("nonce must be 8 or 16 bytes")
+        if not 0 <= counter < 1 << 128:
+            raise ValueError("counter must be in [0, 2^128)")
         nonce = nonce.ljust(16, b"\x00")
         kw = struct.unpack("<8I", key)
         nw = struct.unpack("<4I", nonce)
@@ -218,7 +220,22 @@ def init_state(km: KeyMaterial, config: CipherConfig) -> list[int]:
     return state
 
 
-COUNTER_BASE = 16  # index of counter word c0 in the flattened state
+#: Indices of key word k0, nonce word n0 and counter word c0 in the
+#: flattened state.
+KEY_BASE, NONCE_BASE, COUNTER_BASE = 4, 12, 16
+
+
+def word_range(base, n: int) -> np.ndarray:
+    """The little-endian multiword integer ``base`` plus 0, 1, ..., n - 1,
+    wrapped at its width (32 bits per word), as a (len(base), n) uint32
+    array."""
+    out = np.empty((len(base), n), dtype=np.uint32)
+    carry = np.arange(n, dtype=np.uint64)
+    for i, word in enumerate(base):
+        total = carry + np.uint64(word)
+        out[i] = total & MASK32
+        carry = total >> np.uint64(32)
+    return out
 
 
 def _run_block(states, rounds, waves, variant, rotations=ROTATIONS):
@@ -261,11 +278,7 @@ def keystream(km: KeyMaterial, n_blocks: int, config: CipherConfig) -> bytes:
     if first + n_blocks > 1 << 128:
         raise CounterOverflowError("128-bit block counter overflow")
     states = np.repeat(np.array(state, dtype=np.uint32)[:, None], n_blocks, axis=1)
-    carry = np.arange(n_blocks, dtype=np.uint64)
-    for i, word in enumerate(km.counter):
-        total = carry + word
-        states[COUNTER_BASE + i] = total & MASK32
-        carry = total >> 32
+    states[COUNTER_BASE:COUNTER_BASE + 4] = word_range(km.counter, n_blocks)
     return block_words_batch(states, config).T.astype("<u4").tobytes()
 
 

@@ -51,9 +51,20 @@ def _cipher_config(preset: str) -> cipher.CipherConfig:
     return cipher.CipherConfig(schedule=preset)
 
 
-def _load_dataset_bytes(path: str) -> bytes:
-    blocks, _ = dataset.load(path)
-    return dataset.dataset_bytes(blocks)
+def _load_dataset(path: str) -> tuple[bytes, dict]:
+    """The dataset's keystream bytes and its header."""
+    blocks, header = dataset.load(path)
+    return dataset.dataset_bytes(blocks), header
+
+
+def _run_config(args, header: dict | None = None) -> dict:
+    """What a run's config hash covers: the parsed options (not the command
+    function, whose repr holds a memory address) and the header of the
+    dataset analysed, if any."""
+    config = {k: v for k, v in vars(args).items() if k != "func"}
+    if header is not None:
+        config["dataset_header"] = header
+    return config
 
 
 # --- commands --------------------------------------------------------------
@@ -72,15 +83,11 @@ def cmd_gen(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    data = _load_dataset_bytes(args.dataset)
+    data, header = _load_dataset(args.dataset)
     text = search.SymbolStream.from_bytes(data, args.alphabet)
     patterns = []
     for i, hex_pat in enumerate(args.pattern):
-        raw = bytes.fromhex(hex_pat)
-        if args.alphabet == "word" and len(raw) % 4:
-            raise ValueError(f"pattern {hex_pat!r} is not a whole number of "
-                             "32-bit words")
-        pstream = search.SymbolStream.from_bytes(raw, args.alphabet)
+        pstream = search.SymbolStream.from_bytes(bytes.fromhex(hex_pat), args.alphabet)
         patterns.append(
             search.WordPattern(pstream.symbols, f"p{i}", args.alphabet)
         )
@@ -100,12 +107,14 @@ def cmd_scan(args) -> int:
         print(f"{rep.pattern_id}: {len(rep.positions)} matches "
               f"({rep.comparisons} comparisons)")
     if args.out:
-        report.write_csv(args.out, report.match_report_rows(reports), vars(args))
+        report.write_csv(args.out, report.match_report_rows(reports),
+                         _run_config(args, header))
     return EXIT_OK
 
 
 def cmd_freq(args) -> int:
-    data = _load_dataset_bytes(args.dataset)
+    data, header = _load_dataset(args.dataset)
+    run_config = _run_config(args, header)
     cfg = freq.SignificanceConfig()
     outdir = Path(args.out_dir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -126,7 +135,7 @@ def cmd_freq(args) -> int:
                     "significant": zres.significant,
                 }
             )
-        report.write_csv(outdir / f"freq_m{m}.csv", rows, vars(args))
+        report.write_csv(outdir / f"freq_m{m}.csv", rows, run_config)
         report.write_bar_chart(
             outdir / f"top{args.top}_m{m}.svg",
             [r["pattern_hex"] for r in rows],
@@ -160,7 +169,7 @@ def cmd_diff(args) -> int:
             pooled[r][0] += st.collisions
             pooled[r][1] += st.trials
             rows.append({"delta": "/".join(f"{d:08x}" for d in delta), **st.as_dict()})
-    report.write_csv(outdir / "collision_stats.csv", rows, vars(args))
+    report.write_csv(outdir / "collision_stats.csv", rows, _run_config(args))
     rounds_sorted = sorted(cfg.rounds)
     pooled_p = [pooled[r][0] / pooled[r][1] for r in rounds_sorted]
     report.write_decay_chart(
@@ -186,7 +195,7 @@ def cmd_avalanche(args) -> int:
             for w in range(4)
             for b, p in enumerate(profile.word_profiles[w])
         ]
-        report.write_csv(args.out, rows, vars(args))
+        report.write_csv(args.out, rows, _run_config(args))
     return EXIT_OK
 
 
@@ -204,7 +213,7 @@ def cmd_sweep(args) -> int:
               f"collision_p={res.collision.p_hat:.3e} "
               f"passes_bound={res.collision.passes_bound}")
     if args.out:
-        report.write_csv(args.out, [r.as_dict() for r in results], vars(args))
+        report.write_csv(args.out, [r.as_dict() for r in results], _run_config(args))
     return EXIT_OK
 
 
@@ -244,7 +253,7 @@ def cmd_bench(args) -> int:
         )
         print(rows[-1])
     if args.out:
-        report.write_csv(args.out, rows, vars(args))
+        report.write_csv(args.out, rows, _run_config(args))
     if not args.skip_relative_check:
         tp = {r["engine"]: float(r["throughput_mb_s"]) for r in rows}
         if not (tp["hybrid"] >= tp["kmp"] * 0.5):

@@ -1,5 +1,6 @@
 """Keystream dataset generation, dual encoding, and file persistence.
 
+A dataset is an (n, 36) uint32 array, one row of output words per block.
 Datasets are deterministic functions of their config: key and nonce material
 comes from a seeded BLAKE2b counter-mode generator (switchable to the OS
 entropy source for non-reproducible runs).  Fixed-key mode keeps one key and
@@ -13,21 +14,23 @@ record per block.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import os
-import struct
 from dataclasses import dataclass, asdict
 
 import numpy as np
 
 from .cipher import (
     BLOCK_BYTES,
+    KEY_BASE,
+    NONCE_BASE,
     CipherConfig,
     KeyMaterial,
-    MASK32,
     STATE_WORDS,
     block_words_batch,
     init_state,
+    word_range,
 )
 
 FORMAT_VERSION = 1
@@ -50,20 +53,21 @@ class SeededGenerator:
         self._buffer = b""
 
     def bytes(self, n: int) -> bytes:
-        out = bytearray()
-        while len(out) < n:
-            if not self._buffer:
-                self._buffer = hashlib.blake2b(
-                    self._seed + self._counter.to_bytes(8, "little"), digest_size=64
-                ).digest()
-                self._counter += 1
-            take = min(n - len(out), len(self._buffer))
-            out += self._buffer[:take]
-            self._buffer = self._buffer[take:]
-        return bytes(out)
+        out, self._buffer = self._buffer[:n], self._buffer[n:]
+        need = n - len(out)
+        digests = -(-need // 64)
+        fresh = b"".join(
+            hashlib.blake2b(self._seed + (self._counter + i).to_bytes(8, "little"),
+                            digest_size=64).digest()
+            for i in range(digests)
+        )
+        self._counter += digests
+        self._buffer += fresh[need:]
+        return out + fresh[:need]
 
-    def words(self, k: int) -> tuple[int, ...]:
-        return struct.unpack(f"<{k}I", self.bytes(4 * k))
+    def words(self, k: int) -> np.ndarray:
+        """The next ``4 * k`` bytes as ``k`` little-endian uint32 words."""
+        return np.frombuffer(self.bytes(4 * k), dtype="<u4").astype(np.uint32)
 
 
 class OsEntropyGenerator:
@@ -72,8 +76,7 @@ class OsEntropyGenerator:
     def bytes(self, n: int) -> bytes:
         return os.urandom(n)
 
-    def words(self, k: int) -> tuple[int, ...]:
-        return struct.unpack(f"<{k}I", self.bytes(4 * k))
+    words = SeededGenerator.words
 
 
 @dataclass(frozen=True)
@@ -95,63 +98,63 @@ class DatasetConfig:
         return d
 
 
-@dataclass(frozen=True)
-class EncodedBlock:
-    words: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.words) != STATE_WORDS:
-            raise ValueError("block must hold exactly 36 words")
-        object.__setattr__(self, "words", tuple(int(w) & MASK32 for w in self.words))
-
-    @property
-    def hex_repr(self) -> str:
-        return "".join(f"{w:08x}" for w in self.words)
-
-    @property
-    def binary_repr(self) -> str:
-        return "".join(f"{w:032b}" for w in self.words)
-
-    @property
-    def raw(self) -> bytes:
-        return struct.pack("<36I", *self.words)
-
-    @classmethod
-    def from_hex(cls, text: str) -> "EncodedBlock":
-        if len(text) != STATE_WORDS * 8:
-            raise ValueError(f"hex record must be {STATE_WORDS * 8} chars")
-        return cls(tuple(int(text[i: i + 8], 16) for i in range(0, len(text), 8)))
-
-    @classmethod
-    def from_binary(cls, text: str) -> "EncodedBlock":
-        if len(text) != STATE_WORDS * 32:
-            raise ValueError(f"binary record must be {STATE_WORDS * 32} chars")
-        return cls(tuple(int(text[i: i + 32], 2) for i in range(0, len(text), 32)))
+HEX_CHARS = STATE_WORDS * 8
+BINARY_CHARS = STATE_WORDS * 32
+CHUNK_BLOCKS = 4096  # blocks per encode/decode step in persist and load
 
 
-def encode_block(words) -> EncodedBlock:
-    return EncodedBlock(tuple(words))
+def _as_blocks(blocks) -> np.ndarray:
+    blocks = np.asarray(blocks, dtype=np.uint32)
+    if blocks.ndim != 2 or blocks.shape[1] != STATE_WORDS:
+        raise ValueError(f"blocks must have shape (n, {STATE_WORDS})")
+    return blocks
 
 
-def _nonce_add(nonce: tuple[int, ...], i: int, nonce_bits: int) -> tuple[int, ...]:
-    width = nonce_bits // 32
-    value = 0
-    for w in range(width):
-        value |= nonce[w] << (32 * w)
-    value = (value + i) % (1 << nonce_bits)
-    out = [0, 0, 0, 0]
-    for w in range(width):
-        out[w] = (value >> (32 * w)) & MASK32
-    return tuple(out)
+def to_hex(blocks) -> list[str]:
+    """One 288-digit lowercase hex record per block, each word big-endian."""
+    text = _as_blocks(blocks).astype(">u4").tobytes().hex()
+    return [text[i: i + HEX_CHARS] for i in range(0, len(text), HEX_CHARS)]
+
+
+def from_hex(records: list[str]) -> np.ndarray:
+    """(k, 36) uint32 blocks from k records of exactly 288 hex digits."""
+    if any(len(r) != HEX_CHARS for r in records):
+        raise ValueError(f"hex record must be {HEX_CHARS} chars")
+    try:
+        raw = bytes.fromhex("".join(records))
+    except ValueError:
+        raw = b""
+    # bytes.fromhex skips whitespace, so a record holding a space decodes short
+    if len(raw) != BLOCK_BYTES * len(records):
+        raise ValueError("hex record must hold only the digits 0-9, a-f, A-F")
+    return np.frombuffer(raw, dtype=">u4").reshape(-1, STATE_WORDS).astype(np.uint32)
+
+
+def to_binary(blocks) -> list[str]:
+    """One 1152-digit binary record per block, each word MSB first."""
+    bits = np.unpackbits(_as_blocks(blocks).astype(">u4").view(np.uint8), axis=1)
+    text = (bits + ord("0")).tobytes().decode("ascii")
+    return [text[i: i + BINARY_CHARS] for i in range(0, len(text), BINARY_CHARS)]
+
+
+def from_binary(records: list[str]) -> np.ndarray:
+    """(k, 36) uint32 blocks from k records of exactly 1152 binary digits."""
+    if any(len(r) != BINARY_CHARS for r in records):
+        raise ValueError(f"binary record must be {BINARY_CHARS} chars")
+    bits = np.frombuffer("".join(records).encode("ascii"), dtype=np.uint8) - ord("0")
+    if (bits > 1).any():
+        raise ValueError("binary record must hold only the digits 0 and 1")
+    return np.packbits(bits.reshape(-1, BINARY_CHARS), axis=1).view(">u4").astype(np.uint32)
 
 
 def generate_dataset(
     cfg: DatasetConfig, entropy: str = "seeded", batch: int = 4096
-) -> list[EncodedBlock]:
-    """Generate ``cfg.n_blocks`` keystream blocks.
+) -> np.ndarray:
+    """Generate ``cfg.n_blocks`` keystream blocks as an (n, 36) uint32 array.
 
     Fixed mode: one key, nonces incremented from a drawn base value, counter
-    zero for every block.  Variable mode: fresh key and nonce per block.
+    zero for every block.  Variable mode: fresh key and nonce per block.  All
+    key material comes from one draw: key words, then nonce words per block.
     """
     if entropy == "seeded":
         gen = SeededGenerator(cfg.rng_seed)
@@ -159,65 +162,61 @@ def generate_dataset(
         gen = OsEntropyGenerator()
     else:
         raise ValueError("entropy must be 'seeded' or 'os'")
-    ccfg = cfg.cipher
+    ccfg, n = cfg.cipher, cfg.n_blocks
     nonce_words = ccfg.nonce_bits // 32
-
-    def draw_nonce() -> tuple[int, ...]:
-        n = list(gen.words(nonce_words)) + [0] * (4 - nonce_words)
-        return tuple(n)
-
-    blocks: list[EncodedBlock] = []
+    draws = 1 if cfg.mode == "fixed" else n
+    drawn = gen.words((8 + nonce_words) * draws).reshape(draws, -1).T
+    keys, nonces = np.broadcast_to(drawn[:8], (8, n)), drawn[8:]
     if cfg.mode == "fixed":
-        key = gen.words(8)
-        base = draw_nonce()
-        nonces = [_nonce_add(base, i, ccfg.nonce_bits) for i in range(cfg.n_blocks)]
-        keys = [key] * cfg.n_blocks
-    else:
-        keys, nonces = [], []
-        for _ in range(cfg.n_blocks):
-            keys.append(gen.words(8))
-            nonces.append(draw_nonce())
-
-    for start in range(0, cfg.n_blocks, batch):
-        stop = min(start + batch, cfg.n_blocks)
-        states = np.empty((STATE_WORDS, stop - start), dtype=np.uint32)
-        for j in range(start, stop):
-            km = KeyMaterial(keys[j], nonces[j])
-            states[:, j - start] = init_state(km, ccfg)
-        out = block_words_batch(states, ccfg)
-        for j in range(stop - start):
-            blocks.append(EncodedBlock(tuple(int(w) for w in out[:, j])))
-    return blocks
+        nonces = word_range(nonces[:, 0], n)
+    template = np.array(init_state(KeyMaterial((0,) * 8), ccfg), dtype=np.uint32)
+    out = np.empty((n, STATE_WORDS), dtype=np.uint32)
+    for start in range(0, n, batch):
+        stop = min(start + batch, n)
+        states = np.repeat(template[:, None], stop - start, axis=1)
+        states[KEY_BASE:KEY_BASE + 8] = keys[:, start:stop]
+        states[NONCE_BASE:NONCE_BASE + nonce_words] = nonces[:, start:stop]
+        out[start:stop] = block_words_batch(states, ccfg).T
+    return out
 
 
-def dataset_bytes(blocks: list[EncodedBlock]) -> bytes:
-    return b"".join(b.raw for b in blocks)
+def dataset_bytes(blocks) -> bytes:
+    """The blocks serialised little-endian, 144 bytes per block."""
+    return _as_blocks(blocks).astype("<u4", copy=False).tobytes()
 
 
-def persist(blocks: list[EncodedBlock], cfg: DatasetConfig, path) -> None:
+def persist(blocks, cfg: DatasetConfig, path) -> None:
     with open(path, "w") as fh:
         fh.write(json.dumps(cfg.as_dict(), sort_keys=True) + "\n")
-        for b in blocks:
-            fh.write(b.hex_repr + "\n")
+        for start in range(0, len(blocks), CHUNK_BLOCKS):
+            fh.write("\n".join(to_hex(blocks[start: start + CHUNK_BLOCKS])) + "\n")
 
 
-def load(path) -> tuple[list[EncodedBlock], dict]:
-    """Read a dataset file back; malformed lines are reported by number."""
-    blocks: list[EncodedBlock] = []
-    header: dict = {}
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        return blocks, header
+def _decode(numbered: list[tuple[int, str]]) -> np.ndarray:
+    """Blocks of (line number, record) pairs; a bad record raises with its line."""
     try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
-        raise DatasetFormatError(f"bad JSON header: {exc}", 1) from exc
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
+        return from_hex([record for _, record in numbered])
+    except ValueError:
+        for lineno, record in numbered:
+            try:
+                from_hex([record])
+            except ValueError as exc:
+                raise DatasetFormatError(str(exc), lineno) from exc
+        raise
+
+
+def load(path) -> tuple[np.ndarray, dict]:
+    """Read a dataset file back as an (n, 36) uint32 array and its header;
+    blank lines are skipped and malformed lines are reported by number."""
+    with open(path) as fh:
+        first = fh.readline()
         try:
-            blocks.append(EncodedBlock.from_hex(line.strip()))
-        except ValueError as exc:
-            raise DatasetFormatError(str(exc), lineno) from exc
-    return blocks, header
+            header = json.loads(first) if first else {}
+        except json.JSONDecodeError as exc:
+            raise DatasetFormatError(f"bad JSON header: {exc}", 1) from exc
+        chunks, lineno = [np.empty((0, STATE_WORDS), dtype=np.uint32)], 2
+        while lines := list(itertools.islice(fh, CHUNK_BLOCKS)):
+            chunks.append(_decode([(i, line.strip()) for i, line in
+                                   enumerate(lines, lineno) if line.strip()]))
+            lineno += len(lines)
+    return np.concatenate(chunks), header

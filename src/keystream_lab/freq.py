@@ -17,6 +17,7 @@ import numpy as np
 from scipy import stats
 
 FOLD_BUCKETS = 1 << 16
+COUNT_CHUNK = 1 << 22  # grams per bincount call
 
 
 @dataclass(frozen=True)
@@ -31,12 +32,17 @@ class MGramSpec:
 
 @dataclass
 class FrequencyTable:
-    counts: dict[int, int]
+    """Distinct m-gram ``values`` (ascending) and their ``counts``, of ``n``."""
+
+    values: np.ndarray
+    counts: np.ndarray
     n: int
     m_bits: int
 
     def count(self, pattern: int) -> int:
-        return self.counts.get(pattern, 0)
+        i = np.searchsorted(self.values, pattern)
+        found = i < len(self.values) and self.values[i] == pattern
+        return int(self.counts[i]) if found else 0
 
 
 @dataclass(frozen=True)
@@ -63,6 +69,14 @@ class ZScoreResult:
     significant: bool
 
 
+def _bincount(grams: np.ndarray, size: int) -> np.ndarray:
+    # bincount widens its input to intp, so count in chunks to bound the copy
+    cells = np.zeros(size, dtype=np.int64)
+    for start in range(0, len(grams), COUNT_CHUNK):
+        cells += np.bincount(grams[start: start + COUNT_CHUNK], minlength=size)
+    return cells
+
+
 def extract_mgrams(keystream: bytes, spec: MGramSpec) -> FrequencyTable:
     """Count m-grams; overlapping extraction slides one byte (one word for
     m=32)."""
@@ -71,31 +85,19 @@ def extract_mgrams(keystream: bytes, spec: MGramSpec) -> FrequencyTable:
         raise ValueError(f"input shorter than one {spec.m_bits}-bit gram")
     data = np.frombuffer(keystream, dtype=np.uint8)
     if spec.m_bits == 8:
-        counts = np.bincount(data, minlength=256)
-        nz = np.nonzero(counts)[0]
-        table = {int(v): int(counts[v]) for v in nz}
-        n = len(data)
+        cells, n = _bincount(data, 256), len(data)
     elif spec.m_bits == 16:
-        if spec.overlapping:
-            hi = data[:-1].astype(np.uint32)
-            lo = data[1:].astype(np.uint32)
-        else:
-            usable = len(data) - len(data) % 2
-            hi = data[0:usable:2].astype(np.uint32)
-            lo = data[1:usable:2].astype(np.uint32)
-        vals = (hi << 8) | lo
-        counts = np.bincount(vals, minlength=65536)
-        nz = np.nonzero(counts)[0]
-        table = {int(v): int(counts[v]) for v in nz}
-        n = len(vals)
+        # big-endian pairs at even offsets, and at odd offsets when overlapping
+        grams = [data[i: i + (len(data) - i) // 2 * 2].view(">u2")
+                 for i in ((0, 1) if spec.overlapping else (0,))]
+        cells, n = sum(_bincount(g, 1 << 16) for g in grams), sum(map(len, grams))
     else:
-        usable = len(data) - len(data) % 4
-        words = data[:usable].view("<u4")
         # m=32 slides word-aligned regardless of the overlapping flag
-        uniq, cnt = np.unique(words, return_counts=True)
-        table = {int(v): int(c) for v, c in zip(uniq, cnt)}
-        n = len(words)
-    return FrequencyTable(table, int(n), spec.m_bits)
+        words = data[: len(data) // 4 * 4].view("<u4")
+        values, counts = np.unique(words, return_counts=True)
+        return FrequencyTable(values, counts, len(words), 32)
+    values = np.flatnonzero(cells)
+    return FrequencyTable(values.astype(np.uint32), cells[values], n, spec.m_bits)
 
 
 def z_score(
@@ -121,14 +123,11 @@ def _cell_counts(table: FrequencyTable) -> np.ndarray:
     """Dense cell counts: full table for m=8/16, XOR-fold buckets for m=32."""
     if table.m_bits in (8, 16):
         cells = np.zeros(1 << table.m_bits, dtype=np.int64)
-        for v, c in table.counts.items():
-            cells[v] = c
-    else:
-        cells = np.zeros(FOLD_BUCKETS, dtype=np.int64)
-        vals = np.fromiter(table.counts.keys(), dtype=np.uint32, count=len(table.counts))
-        cnts = np.fromiter(table.counts.values(), dtype=np.int64, count=len(table.counts))
-        np.add.at(cells, _fold32(vals), cnts)
-    return cells
+        cells[table.values] = table.counts
+        return cells
+    folded = np.bincount(_fold32(table.values), weights=table.counts,
+                         minlength=FOLD_BUCKETS)
+    return folded.astype(np.int64)
 
 
 def chi_square(
@@ -156,8 +155,8 @@ def top_k(table: FrequencyTable, k: int) -> list[tuple[int, int]]:
     pattern value."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    ranked = sorted(table.counts.items(), key=lambda item: (-item[1], item[0]))
-    return ranked[:k]
+    order = np.lexsort((table.values, -table.counts))[:k]
+    return [(int(table.values[i]), int(table.counts[i])) for i in order]
 
 
 def scan_significant(

@@ -32,8 +32,10 @@ class SymbolStream:
     def from_bytes(cls, data: bytes, alphabet: str = "byte") -> "SymbolStream":
         if alphabet == "byte":
             return cls(tuple(data), "byte")
-        n = len(data) // 4
-        return cls(struct.unpack(f"<{n}I", data[: n * 4]), "word")
+        if len(data) % 4:
+            raise ValueError(f"{len(data)} bytes are not a whole number of "
+                             "32-bit words")
+        return cls(struct.unpack(f"<{len(data) // 4}I", data), "word")
 
 
 @dataclass(frozen=True)

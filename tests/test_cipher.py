@@ -126,6 +126,12 @@ class TestKeyMaterial:
         km = KeyMaterial.from_bytes(bytes(32), counter=(1 << 32) + 7)
         assert km.counter == (7, 1, 0, 0)
 
+    @pytest.mark.parametrize("counter", [-1, 1 << 128])
+    def test_from_bytes_rejects_out_of_range_counter(self, counter):
+        with pytest.raises(ValueError):
+            KeyMaterial.from_bytes(bytes(32), counter=counter)
+        KeyMaterial.from_bytes(bytes(32), counter=(1 << 128) - 1)
+
     def test_from_bytes_rejects_bad_lengths(self):
         with pytest.raises(ValueError):
             KeyMaterial.from_bytes(bytes(31))

@@ -1,8 +1,13 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
+import keystream_lab
 from keystream_lab import cli, dataset
 from keystream_lab.report import config_hash, write_bar_chart, write_csv, write_decay_chart, write_json
 
@@ -67,10 +72,10 @@ class TestGen:
 class TestScan:
     def test_pattern_found(self, small_dataset, tmp_path, capsys):
         blocks, _ = dataset.load(small_dataset)
-        target = f"{blocks[0].words[3]:08x}"
+        target = f"{blocks[0, 3]:08x}"
         # hex is byte-order free for the byte alphabet; use word alphabet with
         # the word's little-endian byte encoding
-        raw = blocks[0].raw[12:16].hex()
+        raw = dataset.dataset_bytes(blocks[:1])[12:16].hex()
         out = tmp_path / "scan.csv"
         rc = run(["scan", "--dataset", str(small_dataset), "--pattern", raw,
                   "--engine", "kmp", "--alphabet", "word", "--out", str(out)])
@@ -82,7 +87,7 @@ class TestScan:
 
     def test_engines_agree(self, small_dataset, capsys):
         blocks, _ = dataset.load(small_dataset)
-        raw = blocks[2].raw[0:8].hex()
+        raw = dataset.dataset_bytes(blocks[2:3])[0:8].hex()
         outputs = []
         for engine in ("brute", "kmp", "bm", "hybrid"):
             rc = run(["scan", "--dataset", str(small_dataset), "--pattern", raw,
@@ -127,12 +132,49 @@ class TestFreq:
     def test_baseline_flag_on_biased_data(self, tmp_path):
         # constant blocks are wildly non-uniform: baseline mode must exit 2
         cfg = dataset.DatasetConfig(n_blocks=4, rng_seed=0)
-        blocks = [dataset.EncodedBlock((0x41414141,) * 36)] * 4
+        blocks = np.full((4, 36), 0x41414141, dtype=np.uint32)
         path = tmp_path / "biased.txt"
         dataset.persist(blocks, cfg, path)
         rc = run(["freq", "--dataset", str(path), "--m", "8", "--baseline",
                   "--out-dir", str(tmp_path / "r")])
         assert rc == cli.EXIT_ANALYSIS
+
+
+def csv_hash(path) -> str:
+    return path.read_text().splitlines()[0]
+
+
+class TestConfigHash:
+    def test_same_across_identical_processes(self, tmp_path):
+        # the hash once covered the command function's repr, whose memory
+        # address differs between processes
+        src = os.path.dirname(os.path.dirname(keystream_lab.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, os.environ.get("PYTHONPATH", "")])}
+        out, hashes = tmp_path / "a.csv", []
+        for _ in range(2):
+            subprocess.run([sys.executable, "-m", "keystream_lab.cli", "avalanche",
+                            "--rounds", "1", "--trials", "64", "--seed", "3",
+                            "--out", str(out)], env=env, check=True,
+                           stdout=subprocess.DEVNULL)
+            hashes.append(csv_hash(out))
+        assert hashes[0] == hashes[1]
+
+    @pytest.mark.parametrize("command", ["freq", "scan"])
+    def test_tracks_dataset_at_same_path(self, tmp_path, command):
+        # both commands write their CSV to `out`
+        path, out = tmp_path / "ds.txt", tmp_path / "freq_m8.csv"
+        argv = {
+            "freq": ["freq", "--dataset", str(path), "--m", "8", "--out-dir", str(tmp_path)],
+            "scan": ["scan", "--dataset", str(path), "--pattern", "00000000",
+                     "--out", str(out)],
+        }[command]
+        hashes = []
+        for seed in ("1", "1", "2"):
+            assert run(["gen", "--blocks", "8", "--seed", seed, "--out", str(path)]) == cli.EXIT_OK
+            assert run(argv) == cli.EXIT_OK
+            hashes.append(csv_hash(out))
+        assert hashes[0] == hashes[1] != hashes[2]
 
 
 class TestDiffCommands:

@@ -1,26 +1,38 @@
 import json
-import struct
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from keystream_lab.cipher import (
     BLOCK_BYTES,
     CipherConfig,
     KeyMaterial,
+    MASK32,
     block,
     init_state,
+    word_range,
 )
 from keystream_lab.dataset import (
+    CHUNK_BLOCKS,
     DatasetConfig,
     DatasetFormatError,
-    EncodedBlock,
     OsEntropyGenerator,
     SeededGenerator,
     dataset_bytes,
+    from_binary,
+    from_hex,
     generate_dataset,
     load,
     persist,
+    to_binary,
+    to_hex,
 )
+
+
+def raw(block_words) -> bytes:
+    """One block's 144 little-endian bytes."""
+    return dataset_bytes(np.asarray(block_words)[None])
 
 
 class TestGenerators:
@@ -45,37 +57,55 @@ class TestGenerators:
 
 
 class TestEncodedBlock:
-    WORDS = tuple(range(36))
+    """The block codecs: hex and binary records, and raw little-endian bytes."""
+
+    WORDS = np.arange(36, dtype=np.uint32)[None]
 
     def test_word_count_enforced(self):
         with pytest.raises(ValueError):
-            EncodedBlock((1, 2, 3))
+            to_hex(np.array([[1, 2, 3]]))
 
     def test_hex_round_trip(self):
-        blk = EncodedBlock(self.WORDS)
-        assert len(blk.hex_repr) == 288
-        assert EncodedBlock.from_hex(blk.hex_repr) == blk
+        records = to_hex(self.WORDS)
+        assert len(records[0]) == 288
+        assert np.array_equal(from_hex(records), self.WORDS)
 
     def test_binary_round_trip(self):
-        blk = EncodedBlock(self.WORDS)
-        assert len(blk.binary_repr) == 1152
-        assert set(blk.binary_repr) <= {"0", "1"}
-        assert EncodedBlock.from_binary(blk.binary_repr) == blk
+        records = to_binary(self.WORDS)
+        assert len(records[0]) == 1152
+        assert set(records[0]) <= {"0", "1"}
+        assert np.array_equal(from_binary(records), self.WORDS)
 
     def test_raw_little_endian(self):
-        blk = EncodedBlock((1,) + (0,) * 35)
-        assert blk.raw[:4] == b"\x01\x00\x00\x00"
-        assert len(blk.raw) == BLOCK_BYTES
+        data = raw((1,) + (0,) * 35)
+        assert data[:4] == b"\x01\x00\x00\x00"
+        assert len(data) == BLOCK_BYTES
 
     def test_representations_agree(self):
-        blk = EncodedBlock(tuple((i * 0x9E3779B9) & 0xFFFFFFFF for i in range(36)))
-        assert int(blk.hex_repr[:8], 16) == int(blk.binary_repr[:32], 2) == blk.words[0]
+        words = np.array([[(i * 0x9E3779B9) & 0xFFFFFFFF for i in range(36)]], np.uint32)
+        assert int(to_hex(words)[0][:8], 16) == int(to_binary(words)[0][:32], 2) == words[0, 0]
 
     def test_bad_lengths_rejected(self):
         with pytest.raises(ValueError):
-            EncodedBlock.from_hex("ab")
+            from_hex(["ab"])
         with pytest.raises(ValueError):
-            EncodedBlock.from_binary("01")
+            from_binary(["01"])
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(0, 40), st.integers(0, 2**32 - 1))
+    def test_codec_round_trips(self, n, seed):
+        blocks = np.random.default_rng(seed).integers(0, 1 << 32, (n, 36), dtype=np.uint32)
+        assert np.array_equal(from_hex(to_hex(blocks)), blocks)
+        assert np.array_equal(from_binary(to_binary(blocks)), blocks)
+        assert to_hex(blocks) == [
+            "".join(f"{int(w):08x}" for w in row) for row in blocks]
+        assert to_binary(blocks) == [
+            "".join(f"{int(w):032b}" for w in row) for row in blocks]
+
+    def test_binary_digits_enforced(self):
+        record = to_binary(self.WORDS)[0]
+        with pytest.raises(ValueError):
+            from_binary([record[:-1] + "2"])
 
 
 class TestConfig:
@@ -110,7 +140,7 @@ class TestGenerate:
         for mode in ("fixed", "variable"):
             cfg = DatasetConfig(mode=mode, n_blocks=200, rng_seed=7)
             blocks = generate_dataset(cfg)
-            assert len({b.raw for b in blocks}) == 200
+            assert len({raw(b) for b in blocks}) == 200
 
     def test_fixed_mode_matches_scalar_blocks(self):
         # fixed mode: one key, incremented nonces, zero counter
@@ -119,13 +149,13 @@ class TestGenerate:
         gen = SeededGenerator(11)
         key = gen.words(8)
         base = gen.words(4)
-        base_int = sum(w << (32 * i) for i, w in enumerate(base))
+        base_int = sum(int(w) << (32 * i) for i, w in enumerate(base))
         for i, blk in enumerate(blocks):
             v = (base_int + i) % (1 << 128)
             nonce = tuple((v >> (32 * j)) & 0xFFFFFFFF for j in range(4))
             km = KeyMaterial(key, nonce)
             expect = block(init_state(km, cfg.cipher), cfg.cipher)
-            assert blk.raw == expect
+            assert raw(blk) == expect
 
     def test_variable_mode_matches_scalar_blocks(self):
         cfg = DatasetConfig(mode="variable", n_blocks=4, rng_seed=12)
@@ -134,13 +164,20 @@ class TestGenerate:
         for blk in blocks:
             km = KeyMaterial(gen.words(8), gen.words(4))
             expect = block(init_state(km, cfg.cipher), cfg.cipher)
-            assert blk.raw == expect
+            assert raw(blk) == expect
 
     def test_64_bit_nonce_wraps_in_width(self):
         ccfg = CipherConfig(nonce_bits=64)
         cfg = DatasetConfig(mode="fixed", n_blocks=3, rng_seed=2, cipher=ccfg)
         blocks = generate_dataset(cfg)
         assert len(blocks) == 3
+        gen = SeededGenerator(2)
+        key, (n0, n1) = gen.words(8), gen.words(2).tolist()
+        base = n0 | n1 << 32
+        for i, blk in enumerate(blocks):
+            v = (base + i) % (1 << 64)
+            km = KeyMaterial(key, (v & MASK32, v >> 32, 0, 0))
+            assert raw(blk) == block(init_state(km, ccfg), ccfg)
 
     def test_batch_boundary_invariant(self):
         cfg = DatasetConfig(mode="variable", n_blocks=30, rng_seed=9)
@@ -152,6 +189,28 @@ class TestGenerate:
             generate_dataset(DatasetConfig(n_blocks=1), entropy="dice")
 
 
+class TestNonceCarries:
+    """Fixed mode numbers its nonces with ``word_range``."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        width=st.sampled_from([2, 4]),
+        base=st.lists(st.sampled_from([0, 1, MASK32 - 1, MASK32])
+                      | st.integers(0, MASK32), min_size=4, max_size=4),
+        n=st.integers(1, 300),
+    )
+    @example(width=2, base=[MASK32 - 1, MASK32, 7, 7], n=4)
+    @example(width=4, base=[MASK32] * 4, n=2)
+    def test_word_range_matches_int_reference(self, width, base, n):
+        base = base[:width]
+        base_int = sum(w << (32 * i) for i, w in enumerate(base))
+        got = word_range(base, n)
+        assert got.shape == (width, n) and got.dtype == np.uint32
+        for i in range(n):
+            v = (base_int + i) % (1 << (32 * width))
+            assert got[:, i].tolist() == [(v >> (32 * j)) & MASK32 for j in range(width)]
+
+
 class TestPersistence:
     def test_round_trip(self, tmp_path):
         cfg = DatasetConfig(mode="fixed", n_blocks=25, rng_seed=6)
@@ -159,7 +218,7 @@ class TestPersistence:
         path = tmp_path / "ds.txt"
         persist(blocks, cfg, path)
         loaded, header = load(path)
-        assert loaded == blocks
+        assert np.array_equal(loaded, blocks)
         assert header["rng_seed"] == 6
         assert header["format_version"] == 1
 
@@ -174,7 +233,7 @@ class TestPersistence:
         path = tmp_path / "empty.txt"
         path.write_text("")
         blocks, header = load(path)
-        assert blocks == [] and header == {}
+        assert blocks.shape == (0, 36) and header == {}
 
     def test_bad_header_line_number(self, tmp_path):
         path = tmp_path / "bad.txt"
@@ -198,6 +257,34 @@ class TestPersistence:
         cfg = DatasetConfig(n_blocks=1, rng_seed=1)
         blocks = generate_dataset(cfg)
         path = tmp_path / "blank.txt"
-        path.write_text(json.dumps(cfg.as_dict()) + "\n\n" + blocks[0].hex_repr + "\n")
+        path.write_text(json.dumps(cfg.as_dict()) + "\n\n" + to_hex(blocks)[0] + "\n")
         loaded, _ = load(path)
-        assert loaded == blocks
+        assert np.array_equal(loaded, blocks)
+
+    @pytest.mark.parametrize("word", ["-0000001", "0x000001", "0000_001", " 0000001"])
+    def test_non_hex_record_rejected(self, tmp_path, word):
+        cfg = DatasetConfig(n_blocks=2, rng_seed=1)
+        path = tmp_path / "bad.txt"
+        persist(generate_dataset(cfg), cfg, path)
+        lines = path.read_text().splitlines()
+        lines[2] = lines[2][:40] + word + lines[2][48:]
+        assert len(lines[2]) == 288
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DatasetFormatError) as exc:
+            load(path)
+        assert exc.value.line == 3
+
+    def test_round_trip_across_chunks(self, tmp_path):
+        cfg = DatasetConfig(mode="variable", n_blocks=CHUNK_BLOCKS + 3, rng_seed=4)
+        blocks = generate_dataset(cfg)
+        path = tmp_path / "big.txt"
+        persist(blocks, cfg, path)
+        lines = path.read_text().splitlines()
+        assert len(lines) == CHUNK_BLOCKS + 4
+        lines[-1] = lines[-1][:-1] + "g"
+        path.write_text("\n".join(lines[:-1]) + "\n")
+        assert np.array_equal(load(path)[0], blocks[:-1])
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DatasetFormatError) as exc:
+            load(path)
+        assert exc.value.line == CHUNK_BLOCKS + 4

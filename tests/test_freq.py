@@ -1,7 +1,9 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from keystream_lab.cipher import CipherConfig
 from keystream_lab.dataset import DatasetConfig, dataset_bytes, generate_dataset
@@ -15,7 +17,28 @@ from keystream_lab.freq import (
     scan_significant,
     top_k,
     z_score,
+    _cell_counts,
 )
+
+
+def table_of(counts: dict, n: int, m_bits: int) -> FrequencyTable:
+    """A table holding the given {pattern: count} entries."""
+    values = sorted(counts)
+    return FrequencyTable(np.array(values, dtype=np.uint32),
+                          np.array([counts[v] for v in values], dtype=np.int64),
+                          n, m_bits)
+
+
+def naive_counts(data: bytes, m_bits: int, overlapping: bool) -> Counter:
+    """m-gram counts by slicing: m=8/16 big-endian byte grams sliding one
+    byte (two without overlap), m=32 little-endian aligned words."""
+    if m_bits == 32:
+        return Counter(int.from_bytes(data[i: i + 4], "little")
+                       for i in range(0, len(data) - 3, 4))
+    width = m_bits // 8
+    step = 1 if overlapping else width
+    return Counter(int.from_bytes(data[i: i + width], "big")
+                   for i in range(0, len(data) - width + 1, step))
 
 
 class TestExtract:
@@ -49,6 +72,29 @@ class TestExtract:
         with pytest.raises(ValueError):
             extract_mgrams(b"\x01", MGramSpec(16))
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        data=st.integers(2, 300).flatmap(lambda k: st.binary(
+            min_size=2 * k + 1, max_size=2 * k + 1)
+            | st.lists(st.sampled_from([0x00, 0x01, 0xFF]), min_size=2 * k + 1,
+                       max_size=2 * k + 1).map(bytes)),
+        m_bits=st.sampled_from([8, 16, 32]),
+        overlapping=st.booleans(),
+        k=st.integers(1, 12),
+    )
+    def test_counts_match_naive(self, data, m_bits, overlapping, k):
+        table = extract_mgrams(data, MGramSpec(m_bits, overlapping))
+        naive = naive_counts(data, m_bits, overlapping)
+        assert table.n == sum(naive.values())
+        assert table.values.tolist() == sorted(naive)
+        assert dict(zip(table.values.tolist(), table.counts.tolist())) == naive
+        assert all(table.count(v) == c for v, c in naive.items())
+        assert top_k(table, k) == sorted(naive.items(), key=lambda vc: (-vc[1], vc[0]))[:k]
+        cells = np.zeros(1 << 16 if m_bits > 8 else 256, dtype=np.int64)
+        for v, c in naive.items():
+            cells[(v >> 16) ^ (v & 0xFFFF)] += c
+        assert np.array_equal(_cell_counts(table), cells)
+
     def test_bad_width_rejected(self):
         with pytest.raises(ValueError):
             MGramSpec(24)
@@ -57,13 +103,13 @@ class TestExtract:
 class TestZScore:
     def test_frozen_value(self):
         # N = 2^20 bytes with pattern count 4500 at q = 2^-8
-        table = FrequencyTable({0x41: 4500}, 1 << 20, 8)
+        table = table_of({0x41: 4500}, 1 << 20, 8)
         res = z_score(table, 0x41)
         assert res.z == pytest.approx(6.32486533996001, abs=1e-12)
         assert res.significant
 
     def test_expected_and_variance(self):
-        table = FrequencyTable({}, 1000, 8)
+        table = table_of({}, 1000, 8)
         res = z_score(table, 7)
         q = 2.0 ** -8
         assert res.expected == pytest.approx(1000 * q)
@@ -73,7 +119,7 @@ class TestZScore:
 
     def test_empty_table_rejected(self):
         with pytest.raises(ValueError):
-            z_score(FrequencyTable({}, 0, 8), 0)
+            z_score(table_of({}, 0, 8), 0)
 
     def test_threshold_alpha_consistency(self):
         cfg = SignificanceConfig()
@@ -100,7 +146,7 @@ class TestChiSquare:
         assert ok
 
     def test_low_expected_count_warns(self):
-        table = FrequencyTable({1: 2, 2: 1}, 3, 16)
+        table = table_of({1: 2, 2: 1}, 3, 16)
         with pytest.warns(UserWarning, match="< 5"):
             chi_square(table)
 
@@ -115,12 +161,12 @@ class TestChiSquare:
 
 class TestTopK:
     def test_ranking_and_ties(self):
-        table = FrequencyTable({5: 3, 1: 7, 9: 3, 2: 1}, 14, 8)
+        table = table_of({5: 3, 1: 7, 9: 3, 2: 1}, 14, 8)
         assert top_k(table, 3) == [(1, 7), (5, 3), (9, 3)]
 
     def test_k_validated(self):
         with pytest.raises(ValueError):
-            top_k(FrequencyTable({1: 1}, 1, 8), 0)
+            top_k(table_of({1: 1}, 1, 8), 0)
 
 
 class TestScan:

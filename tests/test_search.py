@@ -33,10 +33,13 @@ class TestStreams:
         assert len(s) == 3
 
     def test_from_bytes_word_little_endian(self):
-        s = SymbolStream.from_bytes(b"\x01\x00\x00\x00\xff\x00\x00\x00" + b"\xaa",
-                                    "word")
-        # trailing partial word is dropped
+        s = SymbolStream.from_bytes(b"\x01\x00\x00\x00\xff\x00\x00\x00", "word")
         assert s.symbols == (1, 0xFF)
+
+    @pytest.mark.parametrize("extra", [1, 2, 3])
+    def test_from_bytes_word_rejects_partial_word(self, extra):
+        with pytest.raises(ValueError):
+            SymbolStream.from_bytes(bytes(8 + extra), "word")
 
     def test_unknown_alphabet(self):
         with pytest.raises(ValueError):
