@@ -2,7 +2,8 @@
 
 Commands: gen, scan, freq, diff, avalanche, sweep, bench, report.
 Exit codes: 0 success, 1 usage error, 2 analysis failure (a significance
-flag was raised on a CSPRNG baseline), 3 I/O error.
+flag was raised on a CSPRNG baseline, or a ``bench`` engine missed or
+invented a match), 3 I/O error.
 
 The default RNG seed can be set with the KEYSTREAM_LAB_SEED environment
 variable.
@@ -11,6 +12,7 @@ variable.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import os
 import sys
 import time
@@ -52,18 +54,26 @@ def _cipher_config(preset: str) -> cipher.CipherConfig:
 
 
 def _load_dataset(path: str) -> tuple[bytes, dict]:
-    """The dataset's keystream bytes and its header."""
+    """The dataset's keystream bytes and what identifies it: its header and a
+    BLAKE2b digest of those bytes.  A file holding a different number of
+    records than its header's ``n_blocks`` is rejected."""
     blocks, header = dataset.load(path)
-    return dataset.dataset_bytes(blocks), header
+    expected = header.get("n_blocks") if isinstance(header, dict) else None
+    if expected is not None and expected != len(blocks):
+        raise dataset.DatasetFormatError(
+            f"header says n_blocks={expected}, but the file holds "
+            f"{len(blocks)} records", 1)
+    data = dataset.dataset_bytes(blocks)
+    return data, {"header": header, "blake2b": hashlib.blake2b(data).hexdigest()}
 
 
-def _run_config(args, header: dict | None = None) -> dict:
+def _run_config(args, dataset_id: dict | None = None) -> dict:
     """What a run's config hash covers: the parsed options (not the command
-    function, whose repr holds a memory address) and the header of the
+    function, whose repr holds a memory address) and the identity of the
     dataset analysed, if any."""
     config = {k: v for k, v in vars(args).items() if k != "func"}
-    if header is not None:
-        config["dataset_header"] = header
+    if dataset_id is not None:
+        config["dataset"] = dataset_id
     return config
 
 
@@ -75,15 +85,16 @@ def cmd_gen(args) -> int:
         n_blocks=args.blocks,
         rng_seed=args.seed,
         cipher=_cipher_config(args.preset),
+        entropy=args.entropy,
     )
-    blocks = dataset.generate_dataset(cfg, entropy=args.entropy)
+    blocks = dataset.generate_dataset(cfg)
     dataset.persist(blocks, cfg, args.out)
     print(f"wrote {len(blocks)} blocks to {args.out}")
     return EXIT_OK
 
 
 def cmd_scan(args) -> int:
-    data, header = _load_dataset(args.dataset)
+    data, dataset_id = _load_dataset(args.dataset)
     text = search.SymbolStream.from_bytes(data, args.alphabet)
     patterns = []
     for i, hex_pat in enumerate(args.pattern):
@@ -108,13 +119,13 @@ def cmd_scan(args) -> int:
               f"({rep.comparisons} comparisons)")
     if args.out:
         report.write_csv(args.out, report.match_report_rows(reports),
-                         _run_config(args, header))
+                         _run_config(args, dataset_id))
     return EXIT_OK
 
 
 def cmd_freq(args) -> int:
-    data, header = _load_dataset(args.dataset)
-    run_config = _run_config(args, header)
+    data, dataset_id = _load_dataset(args.dataset)
+    run_config = _run_config(args, dataset_id)
     cfg = freq.SignificanceConfig()
     outdir = Path(args.out_dir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -234,7 +245,7 @@ def cmd_bench(args) -> int:
     text = search.SymbolStream.from_bytes(corpus, "byte")
     pattern = search.WordPattern(tuple(pattern_raw), "bench", "byte")
     truth = set(search.brute_force_search(text, pattern).positions)
-    rows = []
+    rows, wrong = [], []
     for engine in ("brute", "kmp", "bm", "hybrid"):
         t0 = time.perf_counter()
         rep = search.search(text, pattern, engine)
@@ -243,6 +254,8 @@ def cmd_bench(args) -> int:
         tp = len(found & truth)
         precision = tp / len(found) if found else 1.0
         recall = tp / len(truth) if truth else 1.0
+        if precision < 1 or recall < 1:
+            wrong.append(engine)
         rows.append(
             {
                 "engine": engine,
@@ -259,6 +272,10 @@ def cmd_bench(args) -> int:
         if not (tp["hybrid"] >= tp["kmp"] * 0.5):
             print("note: hybrid/KMP relative ordering not met on this corpus "
                   "(soft check)", file=sys.stderr)
+    if wrong:
+        print(f"engines disagreeing with the brute-force oracle: {', '.join(wrong)}",
+              file=sys.stderr)
+        return EXIT_ANALYSIS
     return EXIT_OK
 
 

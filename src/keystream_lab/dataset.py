@@ -85,15 +85,21 @@ class DatasetConfig:
     n_blocks: int = 10_000
     rng_seed: int = 0
     cipher: CipherConfig = CipherConfig()
+    entropy: str = "seeded"  # "seeded" (from rng_seed) or "os" (os.urandom)
 
     def __post_init__(self):
         if self.mode not in ("fixed", "variable"):
             raise ValueError("mode must be 'fixed' or 'variable'")
         if self.n_blocks < 1:
             raise ValueError("n_blocks must be >= 1")
+        if self.entropy not in ("seeded", "os"):
+            raise ValueError("entropy must be 'seeded' or 'os'")
 
     def as_dict(self) -> dict:
+        """The file header; an OS-entropy dataset has no seed to record."""
         d = asdict(self)
+        if self.entropy == "os":
+            d["rng_seed"] = None
         d["format_version"] = FORMAT_VERSION
         return d
 
@@ -148,14 +154,17 @@ def from_binary(records: list[str]) -> np.ndarray:
 
 
 def generate_dataset(
-    cfg: DatasetConfig, entropy: str = "seeded", batch: int = 4096
+    cfg: DatasetConfig, entropy: str | None = None, batch: int = 4096
 ) -> np.ndarray:
     """Generate ``cfg.n_blocks`` keystream blocks as an (n, 36) uint32 array.
 
     Fixed mode: one key, nonces incremented from a drawn base value, counter
     zero for every block.  Variable mode: fresh key and nonce per block.  All
     key material comes from one draw: key words, then nonce words per block.
+    ``entropy`` defaults to ``cfg.entropy``, the source the header records.
     """
+    if entropy is None:
+        entropy = cfg.entropy
     if entropy == "seeded":
         gen = SeededGenerator(cfg.rng_seed)
     elif entropy == "os":

@@ -4,6 +4,13 @@ Engines: brute force (ground-truth oracle), KMP, Boyer-Moore, and a windowed
 hybrid that jumps with the bad-character rule and verifies candidates symbol
 by symbol.  Streams carry an alphabet tag: ``"byte"`` (8-bit symbols) or
 ``"word"`` (32-bit symbols); all engines compare symbols as whole units.
+
+Every report counts symbol comparisons exactly as the textbook loops make
+them.  Brute force (at each shift's first symbol) and KMP (whenever nothing
+is matched) hand their scans for ``p[0]`` to ``tuple.index``, which makes the
+same equality tests in C; each symbol it passes over counts as one
+comparison and the equal symbol it stops at as one more.  Boyer-Moore and
+the hybrid have no such scan and run in Python throughout.
 """
 
 from __future__ import annotations
@@ -89,17 +96,28 @@ def brute_force_search(text: SymbolStream, pattern: WordPattern) -> MatchReport:
     _check_alphabets(text, pattern)
     t, p = text.symbols, pattern.symbols
     n, m = len(t), len(p)
-    report = MatchReport(pattern.pattern_id, "brute")
-    for s in range(n - m + 1):
-        j = 0
+    first, find = p[0], t.index
+    positions, comparisons = [], 0
+    s, stop = 0, n - m + 1
+    while s < stop:
+        # the first comparison at each shift is t[s] == p[0]: tuple.index
+        # makes them up to the next equal symbol
+        try:
+            hit = find(first, s, stop)
+        except ValueError:
+            comparisons += stop - s
+            break
+        comparisons += hit - s + 1
+        s, j = hit, 1
         while j < m:
-            report.comparisons += 1
+            comparisons += 1
             if t[s + j] != p[j]:
                 break
             j += 1
         if j == m:
-            report.positions.append(s)
-    return report
+            positions.append(s)
+        s += 1
+    return MatchReport(pattern.pattern_id, "brute", positions, comparisons)
 
 
 # --- KMP -------------------------------------------------------------------
@@ -137,23 +155,37 @@ def kmp_search(
         table = kmp_preprocess(pattern)
     t, p, pi = text.symbols, pattern.symbols, table.pi
     n, m = len(t), len(p)
-    report = MatchReport(pattern.pattern_id, "kmp")
-    j = 0
-    for i in range(n):
-        # each comparison either matches (advances i) or ends the inner loop
-        # for this i, so the total stays within 2n
-        while True:
-            report.comparisons += 1
-            if t[i] == p[j]:
-                j += 1
+    first, find = p[0], t.index
+    positions, comparisons = [], 0
+    i = j = 0
+    while i < n:
+        if j == 0:
+            # with nothing matched, t[i], t[i+1], ... are compared with p[0]
+            # until one is equal: tuple.index makes those comparisons
+            try:
+                hit = find(first, i)
+            except ValueError:
+                comparisons += n - i
                 break
-            if j == 0:
-                break
-            j = pi[j - 1]
+            comparisons += hit - i + 1
+            i, j = hit, 1
+        else:
+            # each comparison either matches (advances i) or ends the inner
+            # loop for this i, so the total stays within 2n
+            symbol = t[i]
+            while True:
+                comparisons += 1
+                if symbol == p[j]:
+                    j += 1
+                    break
+                if j == 0:
+                    break
+                j = pi[j - 1]
         if j == m:
-            report.positions.append(i - m + 1)
+            positions.append(i - m + 1)
             j = pi[j - 1]
-    return report
+        i += 1
+    return MatchReport(pattern.pattern_id, "kmp", positions, comparisons)
 
 
 # --- Boyer-Moore -----------------------------------------------------------
@@ -223,25 +255,31 @@ def bm_search(
     t, p = text.symbols, pattern.symbols
     n, m = len(t), len(p)
     gs = gst.gs
-    last = bc.last_occurrence
-    report = MatchReport(pattern.pattern_id, "bm")
-    s = 0
-    while s <= n - m:
-        j = m - 1
+    full_shift, last_get, tail = gs[m], bc.last_occurrence.get, m - 1
+    p_tail = p[tail]
+    # the shift after a mismatch at the last pattern symbol, per text symbol
+    tail_get = {c: max(gs[0], bc.shift(c)) for c in bc.last_occurrence}.get
+    absent_shift = max(gs[0], m)
+    positions, comparisons = [], 0
+    s, stop = 0, n - m
+    while s <= stop:
+        comparisons += 1
+        symbol = t[s + tail]
+        if symbol != p_tail:
+            s += tail_get(symbol, absent_shift)
+            continue
+        j = tail - 1
         while j >= 0:
-            report.comparisons += 1
+            comparisons += 1
             if p[j] != t[s + j]:
                 break
             j -= 1
         if j < 0:
-            report.positions.append(s)
-            shift = gs[m]
+            positions.append(s)
+            s += full_shift
         else:
-            k = m - 1 - j
-            bad = last.get(t[s + j], -1)
-            shift = max(gs[k], j - bad, 1)
-        s += shift
-    return report
+            s += max(gs[tail - j], j - last_get(t[s + j], -1), 1)
+    return MatchReport(pattern.pattern_id, "bm", positions, comparisons)
 
 
 # --- hybrid ----------------------------------------------------------------
@@ -293,31 +331,31 @@ def hybrid_search(
         jump = {}
         for idx in range(m - 1):
             jump[p[idx]] = m - 1 - idx
-        report = MatchReport(pattern.pattern_id, "hybrid")
+        jump_get, first, p_tail, tail = jump.get, p[0], p[m - 1], m - 1
+        positions, comparisons = [], 0
         n_windows = max(0, math.ceil((n - m + 1) / wlen)) if n >= m else 0
         for w in range(n_windows):
-            report.windows_scanned += 1
-            start = w * wlen
-            stop = min((w + 1) * wlen, n - m + 1)
-            s = start
+            s = w * wlen
+            stop = min(s + wlen, n - m + 1)
             while s < stop:
-                last_sym = t[s + m - 1]
-                report.comparisons += 1
-                if last_sym == p[m - 1] and t[s] == p[0]:
+                last_sym = t[s + tail]
+                comparisons += 1
+                if last_sym == p_tail and t[s] == first:
                     j = 0
                     while j < m:
-                        report.comparisons += 1
+                        comparisons += 1
                         if t[s + j] != p[j]:
                             break
                         j += 1
                     if j == m:
-                        report.positions.append(s)
-                s += jump.get(last_sym, m)
-        reports[pattern.pattern_id] = report
+                        positions.append(s)
+                s += jump_get(last_sym, m)
+        reports[pattern.pattern_id] = MatchReport(
+            pattern.pattern_id, "hybrid", positions, comparisons, n_windows)
         positions_scanned = n - m + 1
         if positions_scanned > 0:
             q = 2.0 ** (-pattern.bit_length)
-            p_hat = len(report.positions) / positions_scanned
+            p_hat = len(positions) / positions_scanned
             sigma = math.sqrt(q * (1.0 - q) / positions_scanned)
             if p_hat > q + config.flag_threshold_sigma * sigma:
                 flagged.add(pattern.pattern_id)

@@ -4,6 +4,8 @@ These are deliberate re-transcriptions, kept separate from the package code
 paths they verify.
 """
 
+import math
+
 M32 = 0xFFFFFFFF
 
 
@@ -108,3 +110,96 @@ def qrf_small(quad, bits):
     b = (b + c) & mask
     c = rot(c ^ b, 2, bits)
     return a, b, c, d
+
+
+# --- search engines ---------------------------------------------------------
+# Straight transcriptions of the plain-Python engine loops, each comparison
+# counted where it is made.  Each returns (positions, comparisons,
+# windows_scanned) for symbol tuples ``t`` and ``p``.
+
+def brute_reference(t, p):
+    n, m = len(t), len(p)
+    positions, comparisons = [], 0
+    for s in range(n - m + 1):
+        j = 0
+        while j < m:
+            comparisons += 1
+            if t[s + j] != p[j]:
+                break
+            j += 1
+        if j == m:
+            positions.append(s)
+    return positions, comparisons, 0
+
+
+def kmp_reference(t, p, pi):
+    """``pi`` is the prefix table, pi[i] the longest proper border of p[:i+1]."""
+    n, m = len(t), len(p)
+    positions, comparisons = [], 0
+    j = 0
+    for i in range(n):
+        while True:
+            comparisons += 1
+            if t[i] == p[j]:
+                j += 1
+                break
+            if j == 0:
+                break
+            j = pi[j - 1]
+        if j == m:
+            positions.append(i - m + 1)
+            j = pi[j - 1]
+    return positions, comparisons, 0
+
+
+def bm_reference(t, p, last, gs):
+    """``last`` maps a symbol to its rightmost index in p; ``gs[k]`` is the
+    good-suffix shift after k matched symbols."""
+    n, m = len(t), len(p)
+    positions, comparisons = [], 0
+    s = 0
+    while s <= n - m:
+        j = m - 1
+        while j >= 0:
+            comparisons += 1
+            if p[j] != t[s + j]:
+                break
+            j -= 1
+        if j < 0:
+            positions.append(s)
+            shift = gs[m]
+        else:
+            k = m - 1 - j
+            bad = last.get(t[s + j], -1)
+            shift = max(gs[k], j - bad, 1)
+        s += shift
+    return positions, comparisons, 0
+
+
+def hybrid_reference(t, p, wlen):
+    """One pattern through the windowed scan with ``wlen``-symbol windows."""
+    n, m = len(t), len(p)
+    jump = {}
+    for idx in range(m - 1):
+        jump[p[idx]] = m - 1 - idx
+    positions, comparisons, windows = [], 0, 0
+    n_windows = max(0, math.ceil((n - m + 1) / wlen)) if n >= m else 0
+    for w in range(n_windows):
+        windows += 1
+        start = w * wlen
+        stop = min((w + 1) * wlen, n - m + 1)
+        s = start
+        while s < stop:
+            last_sym = t[s + m - 1]
+            comparisons += 1
+            if last_sym == p[m - 1] and t[s] == p[0]:
+                j = 0
+                while j < m:
+                    comparisons += 1
+                    if t[s + j] != p[j]:
+                        break
+                    j += 1
+                if j == m:
+                    positions.append(s)
+            s += jump.get(last_sym, m)
+    return positions, comparisons, windows

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import keystream_lab
-from keystream_lab import cli, dataset
+from keystream_lab import cli, dataset, search
 from keystream_lab.report import config_hash, write_bar_chart, write_csv, write_decay_chart, write_json
 
 
@@ -112,6 +112,37 @@ class TestScan:
         assert "matches" not in capsys.readouterr().out
 
 
+class TestRecordCount:
+    """freq and scan check the records against the header's n_blocks."""
+
+    ARGV = {
+        "freq": lambda path, tmp: ["freq", "--dataset", str(path), "--m", "8",
+                                   "--out-dir", str(tmp / "r")],
+        "scan": lambda path, tmp: ["scan", "--dataset", str(path), "--pattern",
+                                   "00000000"],
+    }
+
+    @pytest.mark.parametrize("command", sorted(ARGV))
+    @pytest.mark.parametrize("edit", ["cut", "extra"])
+    def test_mismatch_is_io_error(self, tmp_path, command, edit, capsys):
+        path = tmp_path / "ds.txt"
+        assert run(["gen", "--blocks", "10", "--seed", "1", "--out", str(path)]) == cli.EXIT_OK
+        lines = path.read_text().splitlines(keepends=True)
+        lines = lines[:-3] if edit == "cut" else lines + lines[-2:]
+        path.write_text("".join(lines))
+        capsys.readouterr()
+        assert run(self.ARGV[command](path, tmp_path)) == cli.EXIT_IO
+        captured = capsys.readouterr()
+        assert "n_blocks=10" in captured.err
+        assert "matches" not in captured.out and "chi2" not in captured.out
+
+    def test_header_without_n_blocks_is_not_checked(self, tmp_path, capsys):
+        path = tmp_path / "ds.txt"
+        blocks = dataset.generate_dataset(dataset.DatasetConfig(n_blocks=3))
+        path.write_text("{}\n" + "\n".join(dataset.to_hex(blocks)) + "\n")
+        assert run(self.ARGV["scan"](path, tmp_path)) == cli.EXIT_OK
+
+
 class TestFreq:
     def test_reports_written(self, small_dataset, tmp_path, capsys):
         outdir = tmp_path / "reports"
@@ -175,6 +206,32 @@ class TestConfigHash:
             assert run(argv) == cli.EXIT_OK
             hashes.append(csv_hash(out))
         assert hashes[0] == hashes[1] != hashes[2]
+
+    def test_os_entropy_header(self, tmp_path):
+        path = tmp_path / "ds.txt"
+        for entropy, seed in (("seeded", 7), ("os", None)):
+            assert run(["gen", "--blocks", "2", "--seed", "7", "--entropy", entropy,
+                        "--out", str(path)]) == cli.EXIT_OK
+            _, header = dataset.load(path)
+            assert header["entropy"] == entropy
+            assert header["rng_seed"] == seed
+
+    @pytest.mark.parametrize("command", ["freq", "scan"])
+    def test_os_entropy_datasets_hash_apart(self, tmp_path, command):
+        # equal options, equal headers: only the keystream bytes differ
+        path, out = tmp_path / "ds.txt", tmp_path / "freq_m8.csv"
+        argv = {
+            "freq": ["freq", "--dataset", str(path), "--m", "8", "--out-dir", str(tmp_path)],
+            "scan": ["scan", "--dataset", str(path), "--pattern", "00000000",
+                     "--out", str(out)],
+        }[command]
+        hashes = []
+        for _ in range(2):
+            assert run(["gen", "--blocks", "8", "--entropy", "os",
+                        "--out", str(path)]) == cli.EXIT_OK
+            assert run(argv) == cli.EXIT_OK
+            hashes.append(csv_hash(out))
+        assert hashes[0] != hashes[1]
 
 
 class TestDiffCommands:
@@ -241,6 +298,24 @@ class TestBench:
         for r in rows:
             assert float(r["recall"]) == 1.0
             assert float(r["precision"]) == 1.0
+
+    def test_wrong_engine_is_analysis_failure(self, tmp_path, monkeypatch, capsys):
+        bm = search.ENGINES["bm"]
+
+        def drops_first_match(text, pattern):
+            rep = bm(text, pattern)
+            rep.positions = rep.positions[1:]
+            return rep
+
+        monkeypatch.setitem(search.ENGINES, "bm", drops_first_match)
+        out = tmp_path / "bench.csv"
+        rc = run(["bench", "--size-mb", "1", "--seed", "3",
+                  "--skip-relative-check", "--out", str(out)])
+        assert rc == cli.EXIT_ANALYSIS
+        assert "brute-force oracle: bm" in capsys.readouterr().err
+        rows = list(csv.DictReader([l for l in out.read_text().splitlines()
+                                    if not l.startswith("#")]))
+        assert {r["engine"]: float(r["recall"]) for r in rows}["bm"] < 1.0
 
 
 class TestUsage:
