@@ -6,28 +6,38 @@ the quarter round is a bijection, the output difference for a nonzero delta
 can never be exactly zero; the headline collision metric is therefore the
 near-collision rate: output difference weight at most ``partial_threshold_bits``
 (weight zero, only reachable with delta = 0, is tracked separately).
+
+Every paired evaluation (collision trials, avalanche, the sweep's diffusion
+half and the propagation track) runs through one kernel, ``_paired_rounds``:
+two (4, n) uint32 arrays x and x' go through ``qrf_vec`` round by round and
+y xor y' is read off after each reported round.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+from scipy import stats
 
-from .cipher import ROTATIONS, qrf_vec, rotl32, MASK32
+from .cipher import ROTATIONS, qrf_vec, rotl32, MASK32, _check_words
 
 _IDEAL_BOUND = 2.0 ** -32
+_BATCH = 1 << 20    # trials per kernel call; fixed, as the rng draw order depends on it
 
-if hasattr(np, "bitwise_count"):
-    def _popcount(arr: np.ndarray) -> np.ndarray:
-        return np.bitwise_count(arr).astype(np.int64)
-else:  # numpy < 2.0
-    _POP8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.int64)
 
-    def _popcount(arr: np.ndarray) -> np.ndarray:
-        by = arr.view(np.uint8).reshape(arr.shape + (arr.dtype.itemsize,))
-        return _POP8[by].sum(axis=-1)
+def _paired_rounds(x, xp, report, rotations, variant, word_bits=32):
+    """Run the (4, n) uint32 arrays x and xp through ``max(report)`` quarter
+    rounds; after each round r in ``report`` (0 included) yield (r, y ^ y')
+    as one (4, n) array."""
+    y, yp = x, xp
+    for r in range(max(report) + 1):
+        if r:
+            y = qrf_vec(*y, rotations=rotations, variant=variant, word_bits=word_bits)
+            yp = qrf_vec(*yp, rotations=rotations, variant=variant, word_bits=word_bits)
+        if r in report:
+            yield r, np.stack([a ^ b for a, b in zip(y, yp)])
 
 
 def seed_delta(pattern_words, k: int) -> tuple[int, ...]:
@@ -71,6 +81,7 @@ class CollisionStats:
     p_hat: float                # (full + partial) / trials
     sigma: float                # binomial standard error of p_hat
     passes_bound: bool          # p_hat < 2^-32 + 3 sigma
+    p_upper: float              # one-sided 95 % Clopper-Pearson upper bound on p
 
     @property
     def collisions(self) -> int:
@@ -86,14 +97,17 @@ class CollisionStats:
             "p_hat": self.p_hat,
             "sigma": self.sigma,
             "passes_bound": self.passes_bound,
+            "p_upper": self.p_upper,
         }
 
 
 def _make_stats(rounds: int, trials: int, full: int, partial: int) -> CollisionStats:
-    p_hat = (full + partial) / trials
+    k = full + partial
+    p_hat = k / trials
     sigma = math.sqrt(p_hat * (1.0 - p_hat) / trials)
     passes = p_hat < _IDEAL_BOUND + 3.0 * sigma
-    return CollisionStats(rounds, trials, full, partial, p_hat, sigma, passes)
+    p_upper = 1.0 if k == trials else float(stats.beta.ppf(0.95, k + 1, trials - k))
+    return CollisionStats(rounds, trials, full, partial, p_hat, sigma, passes, p_upper)
 
 
 def collision_trial_batch(
@@ -102,50 +116,32 @@ def collision_trial_batch(
     rotations=ROTATIONS,
     qrf_variant: str = "native",
     word_bits: int = 32,
-    batch: int = 1 << 20,
 ) -> dict[int, CollisionStats]:
     """Per-round collision statistics for one input difference.
 
     ``delta`` holds 4 words (one quad) or 8 (two quads evaluated jointly,
     with the difference weight summed over both).  Fully reproducible from
-    ``cfg.rng_seed``; results are independent of the batch size.
+    ``cfg.rng_seed``.
     """
     delta = tuple(int(d) for d in delta)
     if len(delta) not in (4, 8):
         raise ValueError("delta must hold 4 or 8 words")
     n_quads = len(delta) // 4
+    # dq[i, q, 0] is word i of quad q's difference
+    dq = np.array(delta, dtype=np.uint32).reshape(n_quads, 4).T[:, :, None]
+    thr = cfg.partial_threshold_bits
     rng = np.random.default_rng(cfg.rng_seed)
-    max_round = max(cfg.rounds)
-    full = {r: 0 for r in cfg.rounds}
-    partial = {r: 0 for r in cfg.rounds}
-    hi = 1 << word_bits
-    remaining = cfg.trials
-    with np.errstate(over="ignore"):
-        while remaining > 0:
-            n = min(batch, remaining)
-            remaining -= n
-            quads = []
-            for q in range(n_quads):
-                x = [rng.integers(0, hi, n, dtype=np.uint32) for _ in range(4)]
-                xp = [w ^ np.uint32(delta[4 * q + i]) for i, w in enumerate(x)]
-                quads.append((x, xp))
-            state = [[list(x), list(xp)] for x, xp in quads]
-            for r in range(1, max_round + 1):
-                for pair in state:
-                    for side in (0, 1):
-                        pair[side] = list(
-                            qrf_vec(*pair[side], rotations=rotations,
-                                    variant=qrf_variant, word_bits=word_bits)
-                        )
-                if r in full:
-                    hw = np.zeros(n, dtype=np.int64)
-                    for x, xp in state:
-                        for wa, wb in zip(x, xp):
-                            hw += _popcount(wa ^ wb)
-                    full[r] += int((hw == 0).sum())
-                    partial[r] += int(
-                        ((hw > 0) & (hw <= cfg.partial_threshold_bits)).sum()
-                    )
+    full = dict.fromkeys(cfg.rounds, 0)
+    partial = dict.fromkeys(cfg.rounds, 0)
+    for start in range(0, cfg.trials, _BATCH):
+        n = min(_BATCH, cfg.trials - start)
+        # quads side by side: lanes q * n .. (q + 1) * n - 1 hold quad q of each trial
+        x = np.hstack(rng.integers(0, 1 << word_bits, (n_quads, 4, n), dtype=np.uint32))
+        xp = (x.reshape(4, n_quads, n) ^ dq).reshape(4, -1)
+        for r, d in _paired_rounds(x, xp, cfg.rounds, rotations, qrf_variant, word_bits):
+            hw = np.bitwise_count(d).reshape(4, n_quads, n).sum(axis=(0, 1), dtype=np.uint16)
+            full[r] += int(np.count_nonzero(hw == 0))
+            partial[r] += int(np.count_nonzero((hw > 0) & (hw <= thr)))
     return {
         r: _make_stats(r, cfg.trials, full[r], partial[r]) for r in cfg.rounds
     }
@@ -187,17 +183,10 @@ def propagation_track(
     """
     if max_rounds < 1:
         raise ValueError("max_rounds must be >= 1")
-    from .cipher import qrf
-
-    delta = tuple(int(d) for d in delta[:4])
-    x = tuple(int(w) for w in x_quad)
-    xp = tuple(w ^ d for w, d in zip(x, delta))
-    out = []
-    for _ in range(max_rounds):
-        x = qrf(x, rotations=rotations, variant=qrf_variant)
-        xp = qrf(xp, rotations=rotations, variant=qrf_variant)
-        out.append(tuple(a ^ b for a, b in zip(x, xp)))
-    return out
+    x = np.array(_check_words("x_quad", x_quad, 4), dtype=np.uint32)[:, None]
+    xp = x ^ np.array(_check_words("delta", delta, 4), dtype=np.uint32)[:, None]
+    return [tuple(int(w) for w in d[:, 0]) for _, d in _paired_rounds(
+        x, xp, range(1, max_rounds + 1), rotations, qrf_variant)]
 
 
 @dataclass
@@ -238,27 +227,19 @@ def avalanche_profile(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if rounds < 0:
+        raise ValueError("rounds must be >= 0")
     rng = np.random.default_rng(rng_seed)
     matrix = np.zeros((128, 128), dtype=np.float64)
-    shifts = np.arange(32, dtype=np.uint32)
-    with np.errstate(over="ignore"):
-        for in_word in range(4):
-            for in_bit in range(32):
-                x = [rng.integers(0, 1 << 32, trials, dtype=np.uint32) for _ in range(4)]
-                xp = list(x)
-                xp[in_word] = x[in_word] ^ np.uint32(1 << in_bit)
-                if rounds > 0:
-                    y, yp = list(x), list(xp)
-                    for _ in range(rounds):
-                        y = list(qrf_vec(*y, rotations=rotations, variant=qrf_variant))
-                        yp = list(qrf_vec(*yp, rotations=rotations, variant=qrf_variant))
-                else:
-                    y, yp = x, xp
-                row = 32 * in_word + in_bit
-                for out_word in range(4):
-                    d = y[out_word] ^ yp[out_word]
-                    flips = ((d[:, None] >> shifts[None, :]) & np.uint32(1)).sum(axis=0)
-                    matrix[row, 32 * out_word: 32 * out_word + 32] = flips / trials
+    for row in range(128):
+        x = rng.integers(0, 1 << 32, (4, trials), dtype=np.uint32)
+        xp = x.copy()
+        xp[row // 32] ^= np.uint32(1 << (row % 32))
+        for _, d in _paired_rounds(x, xp, (rounds,), rotations, qrf_variant):
+            # bit j of word w is entry [w, :, j] of the little-endian unpacking
+            bits = np.unpackbits(d.astype("<u4").view(np.uint8).reshape(4, trials, 4),
+                                 axis=2, bitorder="little")
+            matrix[row] = bits.sum(axis=1).ravel() / trials
     return AvalancheProfile(matrix, trials, rounds)
 
 
@@ -305,21 +286,12 @@ def rotation_sweep(
         # input bit flip, after max_round rounds
         rng = np.random.default_rng(cfg.rng_seed ^ 0x5EED)
         n = min(cfg.trials, 1 << 16)
-        x = [rng.integers(0, 1 << 32, n, dtype=np.uint32) for _ in range(4)]
+        x = rng.integers(0, 1 << 32, (4, n), dtype=np.uint32)
         word = rng.integers(0, 4, n)
         bit = rng.integers(0, 32, n, dtype=np.uint32)
-        xp = list(x)
-        with np.errstate(over="ignore"):
-            for wi in range(4):
-                mask = np.where(word == wi, np.uint32(1) << bit, np.uint32(0))
-                xp[wi] = x[wi] ^ mask.astype(np.uint32)
-            y, yp = list(x), list(xp)
-            for _ in range(max_round):
-                y = list(qrf_vec(*y, rotations=rotations, variant=qrf_variant))
-                yp = list(qrf_vec(*yp, rotations=rotations, variant=qrf_variant))
-        hw = np.zeros(n, dtype=np.int64)
-        for a, b in zip(y, yp):
-            hw += _popcount(a ^ b)
+        xp = x ^ np.where(word == np.arange(4)[:, None], np.uint32(1) << bit, np.uint32(0))
+        _, d = next(_paired_rounds(x, xp, (max_round,), rotations, qrf_variant))
+        hw = np.bitwise_count(d).sum(axis=0, dtype=np.int64)
         mean = float(hw.mean())
         se = float(hw.std(ddof=1) / math.sqrt(n))
         results.append(SweepResult(rotations, collision, mean, se))

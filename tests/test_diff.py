@@ -74,8 +74,8 @@ class TestCollisionTrials:
 
     def test_reproducible_and_batch_invariant(self):
         delta = (0, 0, 0, 1)
-        a = collision_trial_batch(delta, self.CFG, batch=1 << 12)
-        b = collision_trial_batch(delta, self.CFG, batch=1 << 12)
+        a = collision_trial_batch(delta, self.CFG)
+        b = collision_trial_batch(delta, self.CFG)
         assert {r: s.as_dict() for r, s in a.items()} == \
                {r: s.as_dict() for r, s in b.items()}
 
@@ -118,6 +118,30 @@ class TestCollisionTrials:
         assert stats[4].collisions == 0
         assert stats[4].passes_bound
 
+    def test_frozen_counts(self):
+        # values computed before the paired-evaluation kernel was shared
+        for delta, counts in [((0, 0, 0, 1), {1: (0, 51), 2: (0, 0)}),
+                              ((0,) * 7 + (1,), {1: (0, 52), 2: (0, 0)})]:
+            stats = collision_trial_batch(delta, self.CFG)
+            assert {r: (s.full_collisions, s.partial_collisions)
+                    for r, s in stats.items()} == counts
+
+    def test_upper_bound_rule_of_three(self):
+        # 0 hits in N trials: the exact bound is 1 - 0.05^(1/N), about 3/N
+        n = 1 << 20
+        cfg = TrialConfig(trials=n, rounds=(8,), rng_seed=0)
+        st = collision_trial_batch((0, 0, 0, 0x80000000), cfg)[8]
+        assert st.collisions == 0
+        assert st.p_upper == pytest.approx(1 - 0.05 ** (1 / n), rel=1e-9)
+        assert st.p_upper == pytest.approx(2.857e-6, rel=1e-3)
+        assert st.as_dict()["p_upper"] == st.p_upper
+
+    def test_upper_bound_brackets_estimate(self):
+        stats = collision_trial_batch((0, 0, 0, 1), self.CFG)
+        assert stats[1].p_hat < stats[1].p_upper < 1.0
+        zero = collision_trial_batch((0, 0, 0, 0), self.CFG)
+        assert all(s.p_upper == 1.0 for s in zero.values())
+
     def test_default_delta_set_nonzero(self):
         deltas = default_delta_set(seed_patterns=[0xABCD])
         assert len(deltas) == 7
@@ -142,6 +166,16 @@ class TestPropagation:
     def test_round_count_validated(self):
         with pytest.raises(ValueError):
             propagation_track((1, 0, 0, 0), (0, 0, 0, 0), 0)
+
+    @pytest.mark.parametrize("delta, x", [
+        ((1, 0, 0, 0, 9, 9, 9, 9), (0, 0, 0, 0)),
+        ((1, 0, 0), (0, 0, 0, 0)),
+        ((1, 0, 0, 0), (0, 0, 0)),
+        ((1, 0, 0, 0), (0, 0, 0, 0, 0)),
+    ])
+    def test_word_counts_validated(self, delta, x):
+        with pytest.raises(ValueError):
+            propagation_track(delta, x, 1)
 
 
 class TestAvalanche:
@@ -170,6 +204,14 @@ class TestAvalanche:
         with pytest.raises(ValueError):
             avalanche_profile(1, trials=0)
 
+    def test_negative_rounds_rejected(self):
+        with pytest.raises(ValueError):
+            avalanche_profile(-1, trials=8)
+
+    def test_frozen_matrix_sum(self):
+        # value computed before the paired-evaluation kernel was shared
+        assert avalanche_profile(1, 64, rng_seed=2).matrix.sum() == 2603.796875
+
 
 class TestSweep:
     def test_sweep_shapes_and_bound(self):
@@ -182,6 +224,12 @@ class TestSweep:
             # diffusion saturates near 64 of 128 bits
             assert 55 < res.mean_flipped_bits < 73
             assert res.flipped_bits_se > 0
+
+    def test_frozen_mean_flipped_bits(self):
+        # value computed before the paired-evaluation kernel was shared
+        cfg = TrialConfig(trials=1 << 14, rounds=(4,), rng_seed=5)
+        res = rotation_sweep([(16, 12, 8, 7, 4, 2)], cfg)[0]
+        assert res.mean_flipped_bits == 63.95751953125
 
     def test_invalid_rotation_set(self):
         cfg = TrialConfig(trials=1 << 10, rounds=(1,))
