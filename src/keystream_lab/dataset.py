@@ -1,4 +1,4 @@
-"""Keystream dataset generation, dual encoding, and file persistence.
+"""Keystream dataset generation, hex encoding, and file persistence.
 
 A dataset is an (n, 36) uint32 array, one row of output words per block.
 Datasets are deterministic functions of their config: key and nonce material
@@ -7,8 +7,8 @@ entropy source for non-reproducible runs).  Fixed-key mode keeps one key and
 increments the base nonce per block; variable-key mode draws fresh key and
 nonce material for every block.
 
-File format: a JSON header line with the config, then one 288-character hex
-record per block.
+File format: a JSON header line with the config and ``format_version`` 1,
+then one 288-character hex record per block, as many as its ``n_blocks``.
 """
 
 from __future__ import annotations
@@ -105,8 +105,7 @@ class DatasetConfig:
 
 
 HEX_CHARS = STATE_WORDS * 8
-BINARY_CHARS = STATE_WORDS * 32
-CHUNK_BLOCKS = 4096  # blocks per encode/decode step in persist and load
+CHUNK_BLOCKS = 4096  # blocks per step in generate_dataset, persist and load
 
 
 def _as_blocks(blocks) -> np.ndarray:
@@ -136,41 +135,15 @@ def from_hex(records: list[str]) -> np.ndarray:
     return np.frombuffer(raw, dtype=">u4").reshape(-1, STATE_WORDS).astype(np.uint32)
 
 
-def to_binary(blocks) -> list[str]:
-    """One 1152-digit binary record per block, each word MSB first."""
-    bits = np.unpackbits(_as_blocks(blocks).astype(">u4").view(np.uint8), axis=1)
-    text = (bits + ord("0")).tobytes().decode("ascii")
-    return [text[i: i + BINARY_CHARS] for i in range(0, len(text), BINARY_CHARS)]
-
-
-def from_binary(records: list[str]) -> np.ndarray:
-    """(k, 36) uint32 blocks from k records of exactly 1152 binary digits."""
-    if any(len(r) != BINARY_CHARS for r in records):
-        raise ValueError(f"binary record must be {BINARY_CHARS} chars")
-    bits = np.frombuffer("".join(records).encode("ascii"), dtype=np.uint8) - ord("0")
-    if (bits > 1).any():
-        raise ValueError("binary record must hold only the digits 0 and 1")
-    return np.packbits(bits.reshape(-1, BINARY_CHARS), axis=1).view(">u4").astype(np.uint32)
-
-
-def generate_dataset(
-    cfg: DatasetConfig, entropy: str | None = None, batch: int = 4096
-) -> np.ndarray:
+def generate_dataset(cfg: DatasetConfig) -> np.ndarray:
     """Generate ``cfg.n_blocks`` keystream blocks as an (n, 36) uint32 array.
 
     Fixed mode: one key, nonces incremented from a drawn base value, counter
     zero for every block.  Variable mode: fresh key and nonce per block.  All
-    key material comes from one draw: key words, then nonce words per block.
-    ``entropy`` defaults to ``cfg.entropy``, the source the header records.
+    key material comes from one draw, from the source ``cfg.entropy`` names:
+    key words, then nonce words per block.
     """
-    if entropy is None:
-        entropy = cfg.entropy
-    if entropy == "seeded":
-        gen = SeededGenerator(cfg.rng_seed)
-    elif entropy == "os":
-        gen = OsEntropyGenerator()
-    else:
-        raise ValueError("entropy must be 'seeded' or 'os'")
+    gen = SeededGenerator(cfg.rng_seed) if cfg.entropy == "seeded" else OsEntropyGenerator()
     ccfg, n = cfg.cipher, cfg.n_blocks
     nonce_words = ccfg.nonce_bits // 32
     draws = 1 if cfg.mode == "fixed" else n
@@ -180,8 +153,8 @@ def generate_dataset(
         nonces = word_range(nonces[:, 0], n)
     template = np.array(init_state(KeyMaterial((0,) * 8), ccfg), dtype=np.uint32)
     out = np.empty((n, STATE_WORDS), dtype=np.uint32)
-    for start in range(0, n, batch):
-        stop = min(start + batch, n)
+    for start in range(0, n, CHUNK_BLOCKS):
+        stop = min(start + CHUNK_BLOCKS, n)
         states = np.repeat(template[:, None], stop - start, axis=1)
         states[KEY_BASE:KEY_BASE + 8] = keys[:, start:stop]
         states[NONCE_BASE:NONCE_BASE + nonce_words] = nonces[:, start:stop]
@@ -216,16 +189,27 @@ def _decode(numbered: list[tuple[int, str]]) -> np.ndarray:
 
 def load(path) -> tuple[np.ndarray, dict]:
     """Read a dataset file back as an (n, 36) uint32 array and its header;
-    blank lines are skipped and malformed lines are reported by number."""
+    blank lines are skipped and malformed lines are reported by number.  An
+    empty file loads as no blocks with the header ``{}``."""
     with open(path) as fh:
         first = fh.readline()
         try:
             header = json.loads(first) if first else {}
         except json.JSONDecodeError as exc:
             raise DatasetFormatError(f"bad JSON header: {exc}", 1) from exc
+        version = header.get("format_version") if isinstance(header, dict) else None
+        if first and not (type(version) is int and version == FORMAT_VERSION):
+            raise DatasetFormatError(
+                f"header must be a JSON object with format_version {FORMAT_VERSION}", 1)
         chunks, lineno = [np.empty((0, STATE_WORDS), dtype=np.uint32)], 2
         while lines := list(itertools.islice(fh, CHUNK_BLOCKS)):
             chunks.append(_decode([(i, line.strip()) for i, line in
                                    enumerate(lines, lineno) if line.strip()]))
             lineno += len(lines)
-    return np.concatenate(chunks), header
+    blocks = np.concatenate(chunks)
+    expected = header.get("n_blocks")
+    if expected is not None and expected != len(blocks):
+        raise DatasetFormatError(
+            f"header says n_blocks={expected}, but the file holds "
+            f"{len(blocks)} records", 1)
+    return blocks, header

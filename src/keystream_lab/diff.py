@@ -49,7 +49,8 @@ def seed_delta(pattern_words, k: int) -> tuple[int, ...]:
     """
     if not 0 <= k < 32:
         raise ValueError("shift amount k must be in [0, 32)")
-    words = tuple(int(p) & MASK32 for p in pattern_words)
+    words = tuple(pattern_words)
+    words = _check_words("pattern", words, len(words))
     if not words:
         raise ValueError("pattern yields no words")
     return tuple(rotl32(p, k) ^ rotl32((p << k) & MASK32, k) for p in words)
@@ -69,6 +70,8 @@ class TrialConfig:
             raise ValueError("rounds set must be nonempty")
         if min(self.rounds) < 1:
             raise ValueError("round counts must be >= 1")
+        if self.partial_threshold_bits < 0:
+            raise ValueError("partial_threshold_bits must be >= 0")
         object.__setattr__(self, "rounds", tuple(sorted(set(self.rounds))))
 
 
@@ -126,6 +129,8 @@ def collision_trial_batch(
     delta = tuple(int(d) for d in delta)
     if len(delta) not in (4, 8):
         raise ValueError("delta must hold 4 or 8 words")
+    if any(not 0 <= d < 1 << word_bits for d in delta):
+        raise ValueError(f"delta words must be in [0, 2^{word_bits})")
     n_quads = len(delta) // 4
     # dq[i, q, 0] is word i of quad q's difference
     dq = np.array(delta, dtype=np.uint32).reshape(n_quads, 4).T[:, :, None]

@@ -22,21 +22,13 @@ def config_hash(config) -> str:
     return hashlib.sha256(blob).hexdigest()[:12]
 
 
-def write_csv(path, rows: list[dict], config, fieldnames=None) -> None:
-    if fieldnames is None:
-        fieldnames = list(rows[0].keys()) if rows else []
+def write_csv(path, rows: list[dict], config) -> None:
+    fieldnames = list(rows[0].keys()) if rows else []
     with open(path, "w", newline="") as fh:
         fh.write(f"# config_hash={config_hash(config)}\n")
         writer = csv.DictWriter(fh, fieldnames=fieldnames)
         writer.writeheader()
         writer.writerows(rows)
-
-
-def write_json(path, payload, config) -> None:
-    doc = {"config_hash": config_hash(config), "data": payload}
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, default=str)
-        fh.write("\n")
 
 
 def match_report_rows(reports) -> list[dict]:

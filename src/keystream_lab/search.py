@@ -284,10 +284,12 @@ def bm_search(
 
 # --- hybrid ----------------------------------------------------------------
 
+FLAG_SIGMA = 3.0  # margin, in standard errors, of the hybrid scan's flag rule
+
+
 @dataclass(frozen=True)
 class HybridConfig:
     window_bits: int = 256
-    flag_threshold_sigma: float = 3.0
 
     def window_symbols(self, alphabet: str) -> int:
         bits = SYMBOL_BITS[alphabet]
@@ -357,7 +359,7 @@ def hybrid_search(
             q = 2.0 ** (-pattern.bit_length)
             p_hat = len(positions) / positions_scanned
             sigma = math.sqrt(q * (1.0 - q) / positions_scanned)
-            if p_hat > q + config.flag_threshold_sigma * sigma:
+            if p_hat > q + FLAG_SIGMA * sigma:
                 flagged.add(pattern.pattern_id)
     return reports, flagged
 

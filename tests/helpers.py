@@ -32,21 +32,23 @@ def qrf_forward(a, b, c, d):
     return a, b, c, d
 
 
-def qrf_inverse(a, b, c, d):
-    # the six lines run backwards, each inverted
-    c = rot(c, -2) ^ b
-    b = (b - c) & M32
-    d = rot(d, -4) ^ a
-    a = (a - b) & M32
-    c = rot(c, -7) ^ d
-    d = (d - a) & M32
-    b = rot(b, -8) ^ c
-    c = (c - d) & M32
-    c = rot(c, -12) ^ b
-    b = (b - c) & M32
-    d = rot(d, -16) ^ a
-    a = (a - b) & M32
-    return a, b, c, d
+# The lines of qrf_forward and qrf_rfc as (add target, add source, xor/rotate
+# target) over the word indices a=0, b=1, c=2, d=3.
+LINES = {
+    "native": ((0, 1, 3), (1, 2, 2), (2, 3, 1), (3, 0, 2), (0, 1, 3), (1, 2, 2)),
+    "rfc": ((0, 1, 3), (2, 3, 1)) * 3,
+}
+
+
+def qrf_inverse(a, b, c, d, rotations=(16, 12, 8, 7, 4, 2), variant="native", bits=32):
+    """The quarter round undone: the lines of ``LINES[variant]`` run backwards,
+    each inverted; ``bits`` narrows the words as in :func:`qrf_small`."""
+    mask = (1 << bits) - 1
+    v = [a, b, c, d]
+    for (t, s, x), r in reversed(list(zip(LINES[variant], rotations))):
+        v[x] = rot(v[x], -r, bits) ^ v[t]
+        v[t] = (v[t] - v[s]) & mask
+    return tuple(v)
 
 
 def qrf_rfc(a, b, c, d, bits=32):

@@ -1,5 +1,4 @@
 import csv
-import json
 import os
 import subprocess
 import sys
@@ -9,7 +8,7 @@ import pytest
 
 import keystream_lab
 from keystream_lab import cli, dataset, search
-from keystream_lab.report import config_hash, write_bar_chart, write_csv, write_decay_chart, write_json
+from keystream_lab.report import config_hash, write_bar_chart, write_csv, write_decay_chart
 
 
 def run(argv):
@@ -113,7 +112,7 @@ class TestScan:
 
 
 class TestRecordCount:
-    """freq and scan check the records against the header's n_blocks."""
+    """freq and scan check the header and the records against its n_blocks."""
 
     ARGV = {
         "freq": lambda path, tmp: ["freq", "--dataset", str(path), "--m", "8",
@@ -139,8 +138,20 @@ class TestRecordCount:
     def test_header_without_n_blocks_is_not_checked(self, tmp_path, capsys):
         path = tmp_path / "ds.txt"
         blocks = dataset.generate_dataset(dataset.DatasetConfig(n_blocks=3))
-        path.write_text("{}\n" + "\n".join(dataset.to_hex(blocks)) + "\n")
+        path.write_text('{"format_version": 1}\n' + "\n".join(dataset.to_hex(blocks)) + "\n")
         assert run(self.ARGV["scan"](path, tmp_path)) == cli.EXIT_OK
+
+    @pytest.mark.parametrize("command", sorted(ARGV))
+    @pytest.mark.parametrize("header", ['{"format_version": 2, "n_blocks": 3}',
+                                        '{"n_blocks": 3}', "[1, 2]"])
+    def test_bad_header_is_io_error(self, tmp_path, command, header, capsys):
+        path = tmp_path / "ds.txt"
+        blocks = dataset.generate_dataset(dataset.DatasetConfig(n_blocks=3))
+        path.write_text(header + "\n" + "\n".join(dataset.to_hex(blocks)) + "\n")
+        assert run(self.ARGV[command](path, tmp_path)) == cli.EXIT_IO
+        captured = capsys.readouterr()
+        assert "line 1: header must be a JSON object with format_version 1" in captured.err
+        assert "matches" not in captured.out and "chi2" not in captured.out
 
 
 class TestFreq:
@@ -288,7 +299,7 @@ class TestBench:
     def test_small_corpus_runs(self, tmp_path, capsys):
         out = tmp_path / "bench.csv"
         rc = run(["bench", "--size-mb", "1", "--seed", "3",
-                  "--skip-relative-check", "--out", str(out)])
+                  "--out", str(out)])
         assert rc == cli.EXIT_OK
         err = capsys.readouterr().err
         assert "16 MiB" in err  # small-corpus warning
@@ -310,12 +321,19 @@ class TestBench:
         monkeypatch.setitem(search.ENGINES, "bm", drops_first_match)
         out = tmp_path / "bench.csv"
         rc = run(["bench", "--size-mb", "1", "--seed", "3",
-                  "--skip-relative-check", "--out", str(out)])
+                  "--out", str(out)])
         assert rc == cli.EXIT_ANALYSIS
         assert "brute-force oracle: bm" in capsys.readouterr().err
         rows = list(csv.DictReader([l for l in out.read_text().splitlines()
                                     if not l.startswith("#")]))
         assert {r["engine"]: float(r["recall"]) for r in rows}["bm"] < 1.0
+
+    @pytest.mark.parametrize("size", ["0", "-1"])
+    def test_size_below_one_mib_is_usage_error(self, tmp_path, size, capsys):
+        out = tmp_path / "bench.csv"
+        assert run(["bench", "--size-mb", size, "--out", str(out)]) == cli.EXIT_USAGE
+        assert "--size-mb must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestUsage:
@@ -337,14 +355,11 @@ class TestReportHelpers:
 
     def test_write_csv_and_json(self, tmp_path):
         rows = [{"x": 1, "y": 2}]
-        cpath, jpath = tmp_path / "t.csv", tmp_path / "t.json"
+        cpath = tmp_path / "t.csv"
         write_csv(cpath, rows, {"k": 1})
-        write_json(jpath, rows, {"k": 1})
         text = cpath.read_text().splitlines()
         assert text[0].startswith("# config_hash=")
         assert text[1] == "x,y"
-        doc = json.loads(jpath.read_text())
-        assert doc["data"] == [{"x": 1, "y": 2}]
 
     def test_charts_are_svg(self, tmp_path):
         bpath, dpath = tmp_path / "b.svg", tmp_path / "d.svg"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from keystream_lab import dataset
 from keystream_lab.cipher import (
     BLOCK_BYTES,
     CipherConfig,
@@ -20,12 +21,10 @@ from keystream_lab.dataset import (
     OsEntropyGenerator,
     SeededGenerator,
     dataset_bytes,
-    from_binary,
     from_hex,
     generate_dataset,
     load,
     persist,
-    to_binary,
     to_hex,
 )
 
@@ -57,7 +56,7 @@ class TestGenerators:
 
 
 class TestEncodedBlock:
-    """The block codecs: hex and binary records, and raw little-endian bytes."""
+    """The block codecs: hex records and raw little-endian bytes."""
 
     WORDS = np.arange(36, dtype=np.uint32)[None]
 
@@ -70,12 +69,6 @@ class TestEncodedBlock:
         assert len(records[0]) == 288
         assert np.array_equal(from_hex(records), self.WORDS)
 
-    def test_binary_round_trip(self):
-        records = to_binary(self.WORDS)
-        assert len(records[0]) == 1152
-        assert set(records[0]) <= {"0", "1"}
-        assert np.array_equal(from_binary(records), self.WORDS)
-
     def test_raw_little_endian(self):
         data = raw((1,) + (0,) * 35)
         assert data[:4] == b"\x01\x00\x00\x00"
@@ -83,29 +76,19 @@ class TestEncodedBlock:
 
     def test_representations_agree(self):
         words = np.array([[(i * 0x9E3779B9) & 0xFFFFFFFF for i in range(36)]], np.uint32)
-        assert int(to_hex(words)[0][:8], 16) == int(to_binary(words)[0][:32], 2) == words[0, 0]
+        assert int(to_hex(words)[0][:8], 16) == words[0, 0]
 
     def test_bad_lengths_rejected(self):
         with pytest.raises(ValueError):
             from_hex(["ab"])
-        with pytest.raises(ValueError):
-            from_binary(["01"])
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(0, 40), st.integers(0, 2**32 - 1))
     def test_codec_round_trips(self, n, seed):
         blocks = np.random.default_rng(seed).integers(0, 1 << 32, (n, 36), dtype=np.uint32)
         assert np.array_equal(from_hex(to_hex(blocks)), blocks)
-        assert np.array_equal(from_binary(to_binary(blocks)), blocks)
         assert to_hex(blocks) == [
             "".join(f"{int(w):08x}" for w in row) for row in blocks]
-        assert to_binary(blocks) == [
-            "".join(f"{int(w):032b}" for w in row) for row in blocks]
-
-    def test_binary_digits_enforced(self):
-        record = to_binary(self.WORDS)[0]
-        with pytest.raises(ValueError):
-            from_binary([record[:-1] + "2"])
 
 
 class TestConfig:
@@ -179,14 +162,15 @@ class TestGenerate:
             km = KeyMaterial(key, (v & MASK32, v >> 32, 0, 0))
             assert raw(blk) == block(init_state(km, ccfg), ccfg)
 
-    def test_batch_boundary_invariant(self):
+    def test_batch_boundary_invariant(self, monkeypatch):
         cfg = DatasetConfig(mode="variable", n_blocks=30, rng_seed=9)
-        assert dataset_bytes(generate_dataset(cfg, batch=7)) == \
-               dataset_bytes(generate_dataset(cfg, batch=4096))
+        default = dataset_bytes(generate_dataset(cfg))
+        monkeypatch.setattr(dataset, "CHUNK_BLOCKS", 7)
+        assert dataset_bytes(generate_dataset(cfg)) == default
 
     def test_bad_entropy_choice(self):
         with pytest.raises(ValueError):
-            generate_dataset(DatasetConfig(n_blocks=1), entropy="dice")
+            DatasetConfig(n_blocks=1, entropy="dice")
 
 
 class TestNonceCarries:
@@ -242,6 +226,26 @@ class TestPersistence:
             load(path)
         assert exc.value.line == 1
 
+    @pytest.mark.parametrize("header", [{"format_version": 2, "n_blocks": 1},
+                                        {"n_blocks": 1}, {"format_version": True},
+                                        {"format_version": "1"}, [1, 2], None])
+    def test_header_without_format_version_1_rejected(self, tmp_path, header):
+        blocks = generate_dataset(DatasetConfig(n_blocks=1, rng_seed=1))
+        path = tmp_path / "bad.txt"
+        path.write_text(json.dumps(header) + "\n" + to_hex(blocks)[0] + "\n")
+        with pytest.raises(DatasetFormatError, match="format_version") as exc:
+            load(path)
+        assert exc.value.line == 1
+
+    @pytest.mark.parametrize("n_blocks", [2, 4])
+    def test_record_count_checked_against_header(self, tmp_path, n_blocks):
+        path = tmp_path / "ds.txt"
+        persist(generate_dataset(DatasetConfig(n_blocks=3, rng_seed=1)),
+                DatasetConfig(n_blocks=n_blocks, rng_seed=1), path)
+        with pytest.raises(DatasetFormatError, match=f"n_blocks={n_blocks}") as exc:
+            load(path)
+        assert exc.value.line == 1
+
     def test_bad_record_line_number(self, tmp_path):
         cfg = DatasetConfig(n_blocks=2, rng_seed=1)
         path = tmp_path / "trunc.txt"
@@ -281,9 +285,12 @@ class TestPersistence:
         persist(blocks, cfg, path)
         lines = path.read_text().splitlines()
         assert len(lines) == CHUNK_BLOCKS + 4
-        lines[-1] = lines[-1][:-1] + "g"
+        assert np.array_equal(load(path)[0], blocks)
         path.write_text("\n".join(lines[:-1]) + "\n")
-        assert np.array_equal(load(path)[0], blocks[:-1])
+        with pytest.raises(DatasetFormatError) as exc:
+            load(path)
+        assert exc.value.line == 1
+        lines[-1] = lines[-1][:-1] + "g"
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(DatasetFormatError) as exc:
             load(path)

@@ -40,6 +40,11 @@ class TestSeedDelta:
         with pytest.raises(ValueError):
             seed_delta((), 1)
 
+    @pytest.mark.parametrize("word", [(1 << 32) | 5, -1])
+    def test_words_outside_32_bits_rejected(self, word):
+        with pytest.raises(ValueError):
+            seed_delta((word,), 1)
+
 
 class TestTrialConfig:
     def test_rounds_sorted_and_deduped(self):
@@ -53,6 +58,10 @@ class TestTrialConfig:
     def test_empty_rounds_rejected(self):
         with pytest.raises(ValueError):
             TrialConfig(rounds=())
+
+    def test_negative_threshold_rejected(self):
+        with pytest.raises(ValueError):
+            TrialConfig(trials=1024, rounds=(1,), partial_threshold_bits=-3)
 
 
 class TestCollisionTrials:
@@ -110,6 +119,12 @@ class TestCollisionTrials:
         sigma = math.sqrt(exact_p * (1 - exact_p) / cfg.trials)
         assert st.full_collisions == 0
         assert abs(st.p_hat - exact_p) <= 5 * max(sigma, 1e-9)
+
+    @pytest.mark.parametrize("delta, bits", [((0, 0, 0, 0x10), 4), ((0, 0, 0, -1), 32),
+                                             ((0, 0, 1 << 32, 0), 32), ((0,) * 7 + (-2,), 8)])
+    def test_delta_outside_word_width_rejected(self, delta, bits):
+        with pytest.raises(ValueError):
+            collision_trial_batch(delta, TrialConfig(trials=1024, rounds=(1,)), word_bits=bits)
 
     def test_decay_with_rounds(self):
         cfg = TrialConfig(trials=1 << 16, rounds=(1, 2, 4), rng_seed=0)

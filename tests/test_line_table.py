@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from keystream_lab.cipher import (
+    LINE_ORDERS,
+    ROTATIONS,
     CipherConfig,
     KeyMaterial,
     MASK32,
@@ -18,9 +20,10 @@ from keystream_lab.cipher import (
     qrf_vec,
 )
 
-from helpers import qrf_forward, qrf_rfc, qrf_small, reference_block
+from helpers import qrf_forward, qrf_inverse, qrf_rfc, qrf_small, reference_block
 
 WIDTHS = (4, 8, 16, 32)
+ROTATION_SETS = (ROTATIONS, (7, 9, 13, 18, 4, 2))  # the default and a substituted set
 
 
 def oracle(quad, variant, bits):
@@ -57,6 +60,33 @@ def test_qrf_vec_on_arrays_matches_oracles(case):
     assert np.array_equal(cols, before)
     got = np.array(out).T.tolist()
     assert [tuple(g) for g in got] == [oracle(q, variant, bits) for q in batch]
+
+
+@pytest.mark.parametrize("variant", sorted(LINE_ORDERS))
+@pytest.mark.parametrize("bits", WIDTHS)
+@pytest.mark.parametrize("rotations", ROTATION_SETS)
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_qrf_inverse_round_trip(variant, bits, rotations, data):
+    word = st.integers(0, (1 << bits) - 1)
+    quad = data.draw(st.tuples(word, word, word, word))
+    out = qrf(quad, rotations, variant, bits)
+    assert qrf_inverse(*out, rotations=rotations, variant=variant, bits=bits) == quad
+
+
+@pytest.mark.parametrize("variant", sorted(LINE_ORDERS))
+@pytest.mark.parametrize("mutate", [
+    lambda lines: [lines[0], lines[2], lines[1], *lines[3:]],   # two lines swapped
+    lambda lines: [*lines[:3], (lines[3][0], (lines[3][1] + 1) % 4, lines[3][2]), *lines[4:]],
+    lambda lines: [(0, 1, 2), *lines[1:]],                      # first line rotates c
+], ids=["swap", "add_source", "rotate_target"])
+def test_mutated_line_table_fails_round_trip(variant, mutate, monkeypatch):
+    monkeypatch.setitem(LINE_ORDERS, variant, tuple(mutate(list(LINE_ORDERS[variant]))))
+    rng = np.random.default_rng(5)
+    for bits in WIDTHS:
+        quads = rng.integers(0, 1 << bits, (64, 4)).tolist()
+        assert any(qrf_inverse(*qrf(q, variant=variant, word_bits=bits),
+                               variant=variant, bits=bits) != tuple(q) for q in quads)
 
 
 @pytest.mark.parametrize("schedule", sorted(SCHEDULE_PRESETS))
