@@ -6,7 +6,8 @@ table in :data:`LINE_ORDERS`: ``"native"`` (default) holds the six lines as
 printed in the cipher's description; ``"rfc"`` is the RFC-style ChaCha d/b
 target alternation extended with a 4-bit and a 2-bit line.
 
-:func:`qrf_vec` interprets the tables over Python ints or uint32 arrays, and
+:func:`qrf_vec` interprets the tables over uint32 arrays, in place on one
+copy of its inputs; :func:`qrf` is one lane of it, as Python ints.
 :func:`block_words_batch` runs each round as wavefronts of disjoint quads, one
 gather, quarter round and scatter per wavefront.  :func:`block`,
 :func:`keystream`, :func:`xor_encrypt` and the reference 4x4 ChaCha20 block
@@ -54,36 +55,46 @@ LINE_ORDERS = {
 
 
 def qrf_vec(a, b, c, d, rotations=ROTATIONS, variant="native", word_bits=32):
-    """Extended quarter round over Python ints or numpy uint32 arrays.
+    """Extended quarter round over equal-shape uint32 arrays, as one
+    (4, *shape) uint32 array of the output words a, b, c, d.
 
-    Runs the lines of ``LINE_ORDERS[variant]``, line ``i`` rotating by
-    ``rotations[i]`` (a shorter ``rotations`` runs only that many lines).
-    Inputs are not modified.  ``word_bits`` narrows the words (rotations
-    reduced mod width); widths other than 32 exist only as verification
-    scaffolding for exhaustive cross-checks at small scale.
+    The inputs are copied once into that array, and the lines of
+    ``LINE_ORDERS[variant]`` run on it in place (ufunc ``out=`` and one
+    scratch buffer), line ``i`` rotating by ``rotations[i]`` (a shorter
+    ``rotations`` runs only that many lines).  Inputs are not modified.
+    ``word_bits`` narrows the words: rotations are reduced mod width and each
+    add and rotate is masked.  uint32 arithmetic wraps at 32 bits by itself,
+    so full width runs unmasked.  Widths other than 32 exist only as
+    verification scaffolding for exhaustive cross-checks at small scale.
     """
     try:
         lines = LINE_ORDERS[variant]
     except KeyError:
         raise ValueError(f"unknown qrf variant: {variant!r}") from None
-    mask = (1 << word_bits) - 1
-    v = [a, b, c, d]
+    out = np.array((a, b, c, d), dtype=np.uint32)
+    v, tmp = list(out), np.empty_like(out[0])
+    mask = np.uint32((1 << word_bits) - 1) if word_bits < 32 else None
     for (t, s, x), r in zip(lines, rotations):
-        v[t] = (v[t] + v[s]) & mask
-        y = v[x] ^ v[t]
+        vt, vx = v[t], v[x]
+        np.add(vt, v[s], out=vt)
+        if mask is not None:
+            np.bitwise_and(vt, mask, out=vt)
+        np.bitwise_xor(vx, vt, out=vx)
         r %= word_bits
-        v[x] = ((y << r) | (y >> (word_bits - r))) & mask if r else y & mask
-    return tuple(v)
+        if r:
+            np.left_shift(vx, r, out=tmp)
+            np.right_shift(vx, word_bits - r, out=vx)
+            np.bitwise_or(vx, tmp, out=vx)
+        if mask is not None:
+            np.bitwise_and(vx, mask, out=vx)
+    return out
 
 
-def qrf(
-    quad: tuple[int, int, int, int],
-    rotations: tuple[int, ...] = ROTATIONS,
-    variant: str = "native",
-    word_bits: int = 32,
-) -> tuple[int, int, int, int]:
-    """Apply one extended quarter round to ``(a, b, c, d)`` (see :func:`qrf_vec`)."""
-    return qrf_vec(*quad, rotations, variant, word_bits)
+def qrf(quad, rotations=ROTATIONS, variant="native", word_bits=32) -> tuple[int, ...]:
+    """Apply one extended quarter round to ``(a, b, c, d)``: one lane of
+    :func:`qrf_vec`, returned as Python ints."""
+    lane = np.array(quad, dtype=np.uint32)[:, None]
+    return tuple(qrf_vec(*lane, rotations, variant, word_bits)[:, 0].tolist())
 
 
 def _check_words(name: str, words, expected: int) -> tuple[int, ...]:
@@ -207,17 +218,8 @@ def init_state(km: KeyMaterial, config: CipherConfig) -> list[int]:
     if config.nonce_bits == 64:
         if nonce[2] or nonce[3]:
             raise ValueError("64-bit nonce mode requires nonce words n2, n3 = 0")
-    state = list(CONSTANTS)
-    state += list(km.key)
-    state += list(nonce)
-    state += list(km.counter)
-    state += [0, 0, 0, 0]
-    if config.padding == "zero":
-        state += [0] * 12
-    else:
-        state += [CONSTANTS[i % 4] for i in range(12)]
-    assert len(state) == STATE_WORDS
-    return state
+    pad = [0] * 12 if config.padding == "zero" else [CONSTANTS[i % 4] for i in range(12)]
+    return [*CONSTANTS, *km.key, *nonce, *km.counter, 0, 0, 0, 0, *pad]
 
 
 #: Indices of key word k0, nonce word n0 and counter word c0 in the

@@ -91,15 +91,13 @@ def cmd_scan(args) -> int:
     if not patterns:
         print("no patterns given", file=sys.stderr)
         return EXIT_USAGE
-    reports = []
     if args.engine == "hybrid":
         by_id, flagged = search.hybrid_search(text, patterns)
         reports = list(by_id.values())
         for pid in sorted(flagged):
             print(f"flagged: {pid}")
     else:
-        for p in patterns:
-            reports.append(search.search(text, p, args.engine))
+        reports = [search.search(text, p, args.engine) for p in patterns]
     for rep in reports:
         print(f"{rep.pattern_id}: {len(rep.positions)} matches "
               f"({rep.comparisons} comparisons)")
@@ -183,8 +181,7 @@ def cmd_avalanche(args) -> int:
         # rounds=0 is the library's identity profile, not a measurement
         raise ValueError("--rounds must be >= 1")
     profile = diff.avalanche_profile(args.rounds, args.trials, rng_seed=args.seed)
-    means = profile.word_means
-    for name, mean in zip("abcd", means):
+    for name, mean in zip("abcd", profile.word_means):
         print(f"word {name}: mean flip probability {mean:.4f}")
     if args.out:
         rows = [
@@ -197,9 +194,7 @@ def cmd_avalanche(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    sets = []
-    for spec_str in args.sets.split(";"):
-        sets.append(tuple(int(x) for x in spec_str.split(",")))
+    sets = [tuple(int(x) for x in spec.split(",")) for spec in args.sets.split(";")]
     cfg = diff.TrialConfig(
         trials=args.trials, rounds=tuple(args.rounds), rng_seed=args.seed
     )

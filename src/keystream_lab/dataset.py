@@ -53,6 +53,8 @@ class SeededGenerator:
         self._buffer = b""
 
     def bytes(self, n: int) -> bytes:
+        if n < 0:
+            raise ValueError("byte count must be >= 0")
         out, self._buffer = self._buffer[:n], self._buffer[n:]
         need = n - len(out)
         digests = -(-need // 64)

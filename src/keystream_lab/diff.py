@@ -25,6 +25,8 @@ from .cipher import ROTATIONS, qrf_vec, rotl32, MASK32, _check_words
 
 _IDEAL_BOUND = 2.0 ** -32
 _BATCH = 1 << 20    # trials per kernel call; fixed, as the rng draw order depends on it
+_AVALANCHE_LANES = 1 << 15    # lanes per avalanche kernel call (at least one row)
+_BYTE_BITS = (np.arange(256)[:, None] >> np.arange(8)) & 1    # [v, b]: bit b of byte v
 
 
 def _paired_rounds(x, xp, report, rotations, variant, word_bits=32):
@@ -37,7 +39,7 @@ def _paired_rounds(x, xp, report, rotations, variant, word_bits=32):
             y = qrf_vec(*y, rotations=rotations, variant=variant, word_bits=word_bits)
             yp = qrf_vec(*yp, rotations=rotations, variant=variant, word_bits=word_bits)
         if r in report:
-            yield r, np.stack([a ^ b for a, b in zip(y, yp)])
+            yield r, y ^ yp
 
 
 def seed_delta(pattern_words, k: int) -> tuple[int, ...]:
@@ -228,24 +230,39 @@ def avalanche_profile(
 
     For each of the 128 input bit positions, ``trials`` random quads are
     evaluated with and without that bit flipped and output bit flips are
-    accumulated.  rounds=0 is the identity map (exact indicator profile).
+    counted.  rounds=0 is the identity map (exact indicator profile).
+
+    Rows run in chunks of ``max(1, 2**15 // trials)``, side by side as one
+    (4, rows * trials) lane array through the kernel.  A chunk's one
+    (rows, 4, trials) draw is the same rng stream as a (4, trials) draw per
+    row.  Flips are counted exactly: per output byte lane, one
+    ``np.bincount`` of the byte values offset by 256 per row, times the
+    (256, 8) table of each value's bits.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if rounds < 0:
         raise ValueError("rounds must be >= 0")
     rng = np.random.default_rng(rng_seed)
-    matrix = np.zeros((128, 128), dtype=np.float64)
-    for row in range(128):
-        x = rng.integers(0, 1 << 32, (4, trials), dtype=np.uint32)
+    counts = np.empty((128, 128), dtype=np.int64)
+    step = max(1, _AVALANCHE_LANES // trials)
+    for start in range(0, 128, step):
+        rows = np.arange(start, min(start + step, 128))
+        k = len(rows)
+        # lane i * trials + t is trial t of row rows[i]
+        x = rng.integers(0, 1 << 32, (k, 4, trials), dtype=np.uint32)
+        x = x.transpose(1, 0, 2).reshape(4, k * trials)
         xp = x.copy()
-        xp[row // 32] ^= np.uint32(1 << (row % 32))
-        for _, d in _paired_rounds(x, xp, (rounds,), rotations, qrf_variant):
-            # bit j of word w is entry [w, :, j] of the little-endian unpacking
-            bits = np.unpackbits(d.astype("<u4").view(np.uint8).reshape(4, trials, 4),
-                                 axis=2, bitorder="little")
-            matrix[row] = bits.sum(axis=1).ravel() / trials
-    return AvalancheProfile(matrix, trials, rounds)
+        flips = np.uint32(1) << (rows % 32).astype(np.uint32)
+        xp.reshape(4, k, trials)[rows // 32, np.arange(k)] ^= flips[:, None]
+        _, d = next(_paired_rounds(x, xp, (rounds,), rotations, qrf_variant))
+        # byte j of word w holds output bits 32 * w + 8 * j .. + 7
+        octets = d.astype("<u4", copy=False).view(np.uint8).reshape(4, k * trials, 4)
+        offset = np.repeat(np.arange(k) * 256, trials)
+        hist = np.stack([np.bincount(offset + octets[w, :, j], minlength=256 * k)
+                         for w in range(4) for j in range(4)]).reshape(16, k, 256)
+        counts[rows] = (hist @ _BYTE_BITS).transpose(1, 0, 2).reshape(k, 128)
+    return AvalancheProfile(counts / trials, trials, rounds)
 
 
 @dataclass
@@ -346,11 +363,8 @@ def distinguisher_advantage(
         raise ValueError("streams too short for the requested sample count")
 
     def rate(stream: bytes) -> int:
-        hits = 0
-        for i in range(samples):
-            if detector(stream[i * chunk: (i + 1) * chunk]):
-                hits += 1
-        return hits
+        chunks = (stream[i * chunk: (i + 1) * chunk] for i in range(samples))
+        return sum(bool(detector(c)) for c in chunks)
 
     k_hits = rate(cipher_stream)
     r_hits = rate(random_stream)

@@ -342,15 +342,17 @@ def hybrid_search(
             while s < stop:
                 last_sym = t[s + tail]
                 comparisons += 1
-                if last_sym == p_tail and t[s] == first:
-                    j = 0
-                    while j < m:
-                        comparisons += 1
-                        if t[s + j] != p[j]:
-                            break
-                        j += 1
-                    if j == m:
-                        positions.append(s)
+                if last_sym == p_tail:
+                    comparisons += 1    # the first-symbol test
+                    if t[s] == first:
+                        j = 0
+                        while j < m:
+                            comparisons += 1
+                            if t[s + j] != p[j]:
+                                break
+                            j += 1
+                        if j == m:
+                            positions.append(s)
                 s += jump_get(last_sym, m)
         reports[pattern.pattern_id] = MatchReport(
             pattern.pattern_id, "hybrid", positions, comparisons, n_windows)

@@ -6,6 +6,8 @@ paths they verify.
 
 import math
 
+import numpy as np
+
 M32 = 0xFFFFFFFF
 
 
@@ -114,6 +116,29 @@ def qrf_small(quad, bits):
     return a, b, c, d
 
 
+def avalanche_reference(rounds, trials, rotations, variant, rng_seed, qrf_vec):
+    """The per-row avalanche loop: one (4, trials) draw per input bit row,
+    ``rounds`` applications of ``qrf_vec`` to both sides, and the output bit
+    flips counted by unpacking the difference words.  Returns the (128, 128)
+    flip-probability matrix."""
+    rng = np.random.default_rng(rng_seed)
+    matrix = np.zeros((128, 128), dtype=np.float64)
+    for row in range(128):
+        x = rng.integers(0, 1 << 32, (4, trials), dtype=np.uint32)
+        xp = x.copy()
+        xp[row // 32] ^= np.uint32(1 << (row % 32))
+        y, yp = x, xp
+        for _ in range(rounds):
+            y = qrf_vec(*y, rotations=rotations, variant=variant)
+            yp = qrf_vec(*yp, rotations=rotations, variant=variant)
+        d = np.stack([a ^ b for a, b in zip(y, yp)])
+        # bit j of word w is entry [w, :, j] of the little-endian unpacking
+        bits = np.unpackbits(d.astype("<u4").view(np.uint8).reshape(4, trials, 4),
+                             axis=2, bitorder="little")
+        matrix[row] = bits.sum(axis=1).ravel() / trials
+    return matrix
+
+
 # --- search engines ---------------------------------------------------------
 # Straight transcriptions of the plain-Python engine loops, each comparison
 # counted where it is made.  Each returns (positions, comparisons,
@@ -194,14 +219,16 @@ def hybrid_reference(t, p, wlen):
         while s < stop:
             last_sym = t[s + m - 1]
             comparisons += 1
-            if last_sym == p[m - 1] and t[s] == p[0]:
-                j = 0
-                while j < m:
-                    comparisons += 1
-                    if t[s + j] != p[j]:
-                        break
-                    j += 1
-                if j == m:
-                    positions.append(s)
+            if last_sym == p[m - 1]:
+                comparisons += 1
+                if t[s] == p[0]:
+                    j = 0
+                    while j < m:
+                        comparisons += 1
+                        if t[s + j] != p[j]:
+                            break
+                        j += 1
+                    if j == m:
+                        positions.append(s)
             s += jump.get(last_sym, m)
     return positions, comparisons, windows

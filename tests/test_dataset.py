@@ -45,6 +45,13 @@ class TestGenerators:
         chunks = a.bytes(10) + a.bytes(90)
         assert chunks == SeededGenerator(1).bytes(100)
 
+    @pytest.mark.parametrize("n", [-1, -1 << 20])
+    def test_negative_length_rejected_without_state_change(self, n):
+        gen = SeededGenerator(0)
+        with pytest.raises(ValueError):
+            gen.bytes(n)
+        assert gen.bytes(8) == SeededGenerator(0).bytes(8)
+
     def test_words(self):
         w = SeededGenerator(2).words(8)
         assert len(w) == 8

@@ -4,7 +4,9 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from keystream_lab.cipher import ROTATIONS, qrf_vec
 from keystream_lab.diff import (
     AdvantageEstimate,
     TrialConfig,
@@ -18,7 +20,7 @@ from keystream_lab.diff import (
     wilson_interval,
 )
 
-from helpers import qrf_forward, qrf_small
+from helpers import avalanche_reference, qrf_forward, qrf_small
 
 
 class TestSeedDelta:
@@ -226,6 +228,35 @@ class TestAvalanche:
     def test_frozen_matrix_sum(self):
         # value computed before the paired-evaluation kernel was shared
         assert avalanche_profile(1, 64, rng_seed=2).matrix.sum() == 2603.796875
+
+    # trials 1 and 7 run all 128 rows in one chunk, 300 and 5000 end on a
+    # partial chunk, 2^14 - 1 runs two rows per chunk, and from 2^15 - 1 on
+    # each chunk is one row
+    @settings(max_examples=6, deadline=None)
+    @given(rounds=st.integers(0, 3),
+           trials=st.sampled_from([1, 7, 300, 5000, (1 << 14) - 1]),
+           variant=st.sampled_from(["native", "rfc"]),
+           rotations=st.sampled_from([ROTATIONS, (7, 9, 13, 18, 4, 2)]),
+           seed=st.integers(0, 1 << 16))
+    @example(rounds=2, trials=1, variant="native", rotations=ROTATIONS, seed=0)
+    @example(rounds=3, trials=5000, variant="rfc", rotations=ROTATIONS, seed=1)
+    @example(rounds=1, trials=(1 << 15) - 1, variant="native", rotations=ROTATIONS, seed=2)
+    @example(rounds=2, trials=(1 << 15) + 1, variant="rfc", rotations=ROTATIONS, seed=3)
+    @example(rounds=1, trials=40_000, variant="native",
+             rotations=(7, 9, 13, 18, 4, 2), seed=4)
+    @example(rounds=0, trials=300, variant="rfc", rotations=ROTATIONS, seed=5)
+    def test_matches_per_row_reference(self, rounds, trials, variant, rotations, seed):
+        got = avalanche_profile(rounds, trials, rotations, variant, rng_seed=seed).matrix
+        expect = avalanche_reference(rounds, trials, rotations, variant, seed, qrf_vec)
+        assert np.array_equal(got, expect)
+
+    @pytest.mark.parametrize("trials", [1, 7, 4999, 5000])
+    def test_chunk_draw_is_the_per_row_draws(self, trials):
+        k = 6
+        chunk = np.random.default_rng(8).integers(0, 1 << 32, (k, 4, trials), dtype=np.uint32)
+        rng = np.random.default_rng(8)
+        rows = [rng.integers(0, 1 << 32, (4, trials), dtype=np.uint32) for _ in range(k)]
+        assert np.array_equal(chunk, np.stack(rows))
 
 
 class TestSweep:

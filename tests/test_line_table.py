@@ -62,6 +62,32 @@ def test_qrf_vec_on_arrays_matches_oracles(case):
     assert [tuple(g) for g in got] == [oracle(q, variant, bits) for q in batch]
 
 
+@settings(max_examples=100, deadline=None)
+@given(quads(max_size=24), st.integers(1, 4))
+def test_qrf_vec_on_gathered_quads_matches_oracles(case, k):
+    # the (k, B) shape of a wavefront gather in _run_block: quad q of lane i
+    # is words idx[:, q] of column i
+    variant, bits, batch = case
+    groups = [batch[q % len(batch):] + batch[:q % len(batch)] for q in range(k)]
+    words = np.array(groups, dtype=np.uint32).transpose(0, 2, 1).reshape(4 * k, -1)
+    idx = np.arange(4 * k).reshape(k, 4).T
+    gathered = words[idx]
+    before = gathered.copy()
+    out = qrf_vec(*gathered, variant=variant, word_bits=bits)
+    assert out.shape == (4, k, len(batch)) and out.dtype == np.uint32
+    assert np.array_equal(gathered, before)
+    for q, group in enumerate(groups):
+        expect = [oracle(quad, variant, bits) for quad in group]
+        assert [tuple(w) for w in out[:, q].T.tolist()] == expect
+
+
+@settings(max_examples=50, deadline=None)
+@given(quads())
+def test_qrf_returns_python_ints(case):
+    variant, bits, [quad] = case
+    assert all(type(w) is int for w in qrf(quad, variant=variant, word_bits=bits))
+
+
 @pytest.mark.parametrize("variant", sorted(LINE_ORDERS))
 @pytest.mark.parametrize("bits", WIDTHS)
 @pytest.mark.parametrize("rotations", ROTATION_SETS)

@@ -159,6 +159,15 @@ class TestHybrid:
         # one hit of a 16-bit pattern in 99 positions is a genuine excess
         assert flagged == {"1-2"}
 
+    def test_first_symbol_test_counted(self):
+        # each shift whose last symbol matches also tests t[s] == p[0]: the
+        # four shifts make 4 last-symbol tests, 4 first-symbol tests and 4
+        # verification tests at the two hits
+        text = mktext([1, 2, 1, 2, 2, 2, 2, 2])
+        rep = hybrid_search(text, [mkpat([1, 2])])[0]["1-2"]
+        assert rep.positions == [0, 2]
+        assert rep.comparisons == 12
+
     def test_word_window_capacity(self):
         cfg = HybridConfig(window_bits=256)
         assert cfg.window_symbols("word") == 8
