@@ -137,18 +137,13 @@ class KeyMaterial:
 
 @dataclass(frozen=True)
 class CipherConfig:
-    """Round configuration of the EChaCha20 block.
-
-    ``rounds`` must be a positive even integer (default 20); zero rounds is
-    allowed only when ``allow_degenerate_rounds`` is set (debug use: the block
-    output is then the serialised doubled initial state, via feed-forward).
-    """
+    """Round configuration of the EChaCha20 block; ``rounds`` must be a
+    positive even integer (default 20)."""
 
     rounds: int = 20
     schedule: str = "echacha-colrow-v1"
     padding: str = "zero"
     nonce_bits: int = 128
-    allow_degenerate_rounds: bool = False
 
     def __post_init__(self):
         if self.schedule not in SCHEDULE_PRESETS:
@@ -157,10 +152,7 @@ class CipherConfig:
             raise ValueError(f"unknown padding rule {self.padding!r}")
         if self.nonce_bits not in (64, 128):
             raise ValueError("nonce_bits must be 64 or 128")
-        if self.rounds == 0:
-            if not self.allow_degenerate_rounds:
-                raise ValueError("rounds=0 requires allow_degenerate_rounds")
-        elif self.rounds < 2 or self.rounds % 2 != 0:
+        if self.rounds < 2 or self.rounds % 2 != 0:
             raise ValueError("rounds must be a positive even integer")
 
     @property

@@ -229,7 +229,7 @@ def cmd_bench(args) -> int:
     pattern = search.WordPattern(tuple(pattern_raw), "bench", "byte")
     truth = set(search.brute_force_search(text, pattern).positions)
     rows, wrong = [], []
-    for engine in ("brute", "kmp", "bm", "hybrid"):
+    for engine in search.ENGINES:
         t0 = time.perf_counter()
         rep = search.search(text, pattern, engine)
         elapsed = time.perf_counter() - t0
@@ -258,40 +258,40 @@ def cmd_bench(args) -> int:
 
 
 def cmd_report(args) -> int:
-    """Run the full desk-scale campaign: dataset, frequency analysis, and the
-    differential decay table."""
-    outdir = Path(args.out_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    ds_path = outdir / "dataset.txt"
-    gen_args = argparse.Namespace(
-        mode=args.mode, blocks=args.blocks, seed=args.seed,
-        preset=args.preset, entropy="seeded", out=str(ds_path),
-    )
-    cmd_gen(gen_args)
-    freq_args = argparse.Namespace(
-        dataset=str(ds_path), m=[8, 16, 32], out_dir=str(outdir),
-        top=10, baseline=False,
-    )
-    rc = cmd_freq(freq_args)
-    if rc != EXIT_OK:
-        return rc
-    diff_args = argparse.Namespace(
-        trials=args.trials, rounds=[1, 2, 4], seed=args.seed,
-        out_dir=str(outdir), include_zero_control=True,
-    )
-    return cmd_diff(diff_args)
+    """Run the full desk-scale campaign (dataset, frequency analysis and the
+    differential decay table) as the ``gen``, ``freq`` and ``diff`` commands
+    parsed from these options; stop at the first non-zero exit."""
+    Path(args.out_dir).mkdir(parents=True, exist_ok=True)
+    ds_path, seed = str(Path(args.out_dir) / "dataset.txt"), f"--seed={args.seed}"
+    steps = [
+        ["gen", f"--mode={args.mode}", f"--blocks={args.blocks}",
+         f"--preset={args.preset}", f"--out={ds_path}", seed],
+        ["freq", f"--dataset={ds_path}", f"--out-dir={args.out_dir}"],
+        ["diff", f"--trials={args.trials}", "--rounds", "1", "2", "4",
+         "--include-zero-control", f"--out-dir={args.out_dir}", seed],
+    ]
+    parser = build_parser()
+    for argv in steps:
+        step = parser.parse_args(argv)
+        rc = step.func(step)
+        if rc != EXIT_OK:
+            return rc
+    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="keystream-lab")
     sub = parser.add_subparsers(dest="command", required=True)
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=_seed, default=_default_seed())
+    # the dataset options of gen, which report passes on to it
+    dataset_opts = argparse.ArgumentParser(add_help=False, parents=[seeded])
+    dataset_opts.add_argument("--mode", choices=["fixed", "variable"], default="fixed")
+    dataset_opts.add_argument("--blocks", type=int, default=10_000)
+    dataset_opts.add_argument("--preset", choices=sorted(cipher.SCHEDULE_PRESETS),
+                              default="echacha-colrow-v1")
 
-    p = sub.add_parser("gen", help="generate a keystream dataset")
-    p.add_argument("--mode", choices=["fixed", "variable"], default="fixed")
-    p.add_argument("--blocks", type=int, default=10_000)
-    p.add_argument("--seed", type=_seed, default=_default_seed())
-    p.add_argument("--preset", choices=sorted(cipher.SCHEDULE_PRESETS),
-                   default="echacha-colrow-v1")
+    p = sub.add_parser("gen", parents=[dataset_opts], help="generate a keystream dataset")
     p.add_argument("--entropy", choices=["seeded", "os"], default="seeded")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen)
@@ -300,8 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset", required=True)
     p.add_argument("--pattern", action="append", default=[],
                    help="hex-encoded pattern (repeatable)")
-    p.add_argument("--engine", choices=["brute", "kmp", "bm", "hybrid"],
-                   default="kmp")
+    p.add_argument("--engine", choices=list(search.ENGINES), default="kmp")
     p.add_argument("--alphabet", choices=["byte", "word"], default="word")
     p.add_argument("--out")
     p.set_defaults(func=cmd_scan)
@@ -316,42 +315,33 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", default="reports")
     p.set_defaults(func=cmd_freq)
 
-    p = sub.add_parser("diff", help="rotational-differential campaign")
+    p = sub.add_parser("diff", parents=[seeded], help="rotational-differential campaign")
     p.add_argument("--trials", type=int, default=1 << 20)
     p.add_argument("--rounds", type=int, nargs="+", default=[1, 2, 4, 8])
-    p.add_argument("--seed", type=_seed, default=_default_seed())
     p.add_argument("--include-zero-control", action="store_true")
     p.add_argument("--out-dir", default="reports")
     p.set_defaults(func=cmd_diff)
 
-    p = sub.add_parser("avalanche", help="bit-flip probability profile")
+    p = sub.add_parser("avalanche", parents=[seeded], help="bit-flip probability profile")
     p.add_argument("--rounds", type=int, default=2)
     p.add_argument("--trials", type=int, default=10_000)
-    p.add_argument("--seed", type=_seed, default=_default_seed())
     p.add_argument("--out")
     p.set_defaults(func=cmd_avalanche)
 
-    p = sub.add_parser("sweep", help="rotation-constant sweep")
+    p = sub.add_parser("sweep", parents=[seeded], help="rotation-constant sweep")
     p.add_argument("--sets", default="16,12,8,7,4,2;7,9,13,18,4,2;17,13,9,5,3,2")
     p.add_argument("--trials", type=int, default=1 << 18)
     p.add_argument("--rounds", type=int, nargs="+", default=[4])
-    p.add_argument("--seed", type=_seed, default=_default_seed())
     p.add_argument("--out")
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("bench", help="engine throughput and accuracy")
+    p = sub.add_parser("bench", parents=[seeded], help="engine throughput and accuracy")
     p.add_argument("--size-mb", type=int, default=2)
-    p.add_argument("--seed", type=_seed, default=_default_seed())
     p.add_argument("--out")
     p.set_defaults(func=cmd_bench)
 
-    p = sub.add_parser("report", help="full desk-scale campaign")
-    p.add_argument("--mode", choices=["fixed", "variable"], default="fixed")
-    p.add_argument("--blocks", type=int, default=10_000)
+    p = sub.add_parser("report", parents=[dataset_opts], help="full desk-scale campaign")
     p.add_argument("--trials", type=int, default=1 << 20)
-    p.add_argument("--seed", type=_seed, default=_default_seed())
-    p.add_argument("--preset", choices=sorted(cipher.SCHEDULE_PRESETS),
-                   default="echacha-colrow-v1")
     p.add_argument("--out-dir", default="reports")
     p.set_defaults(func=cmd_report)
     return parser

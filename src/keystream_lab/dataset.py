@@ -191,13 +191,17 @@ def _decode(numbered: list[tuple[int, str]]) -> np.ndarray:
 
 def load(path) -> tuple[np.ndarray, dict]:
     """Read a dataset file back as an (n, 36) uint32 array and its header;
-    blank lines are skipped and malformed lines are reported by number.  An
-    empty file loads as no blocks with the header ``{}``."""
-    with open(path) as fh:
+    blank lines are skipped and malformed lines, those that are not UTF-8
+    included, are reported by number.  An empty file loads as no blocks with
+    the header ``{}``."""
+    # a byte that is not UTF-8 reads as a lone surrogate: it fails the
+    # header's encode and a record's hex digit check
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         first = fh.readline()
         try:
+            first.encode("utf-8")
             header = json.loads(first) if first else {}
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:   # not UTF-8, or not JSON
             raise DatasetFormatError(f"bad JSON header: {exc}", 1) from exc
         version = header.get("format_version") if isinstance(header, dict) else None
         if first and not (type(version) is int and version == FORMAT_VERSION):
@@ -210,8 +214,8 @@ def load(path) -> tuple[np.ndarray, dict]:
             lineno += len(lines)
     blocks = np.concatenate(chunks)
     expected = header.get("n_blocks")
-    if expected is not None and expected != len(blocks):
+    if expected is not None and not (type(expected) is int and expected == len(blocks)):
         raise DatasetFormatError(
-            f"header says n_blocks={expected}, but the file holds "
+            f"header says n_blocks={json.dumps(expected)}, but the file holds "
             f"{len(blocks)} records", 1)
     return blocks, header

@@ -285,12 +285,12 @@ class SweepResult:
 def rotation_sweep(
     constant_sets,
     cfg: TrialConfig,
-    delta=(0, 0, 0, 0x80000000),
     qrf_variant: str = "native",
 ) -> list[SweepResult]:
     """Collision and diffusion metrics for substituted rotation constants.
 
-    Mean flipped bits are measured on single-bit input differences after the
+    Collisions are counted for the input difference 2^31 in word d.  Mean
+    flipped bits are measured on single-bit input differences after the
     largest configured round count (where diffusion has saturated for any
     rotation amounts in [1, 31]).
     """
@@ -301,7 +301,7 @@ def rotation_sweep(
         if len(rotations) != 6 or any(not 1 <= r <= 31 for r in rotations):
             raise ValueError(f"rotation set {rotations} must be six amounts in [1, 31]")
         stats_by_round = collision_trial_batch(
-            delta, cfg, rotations=rotations, qrf_variant=qrf_variant
+            (0, 0, 0, 0x80000000), cfg, rotations=rotations, qrf_variant=qrf_variant
         )
         collision = stats_by_round[max_round]
         # diffusion: weight of the output difference for a single random

@@ -46,21 +46,28 @@ def match_report_rows(reports) -> list[dict]:
     return rows
 
 
-_SVG_HEADER = '<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}">\n'
+WIDTH, HEIGHT = 640, 360   # chart size in pixels
+FLOOR = 2.0 ** -34          # where the decay chart draws a zero estimate
 
 
-def write_bar_chart(path, labels, values, title: str, width=640, height=360) -> None:
+def _frame(title: str, margin, base) -> list[str]:
+    """The opening of a chart: SVG header, title and x axis."""
+    return [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}">\n',
+        f'<text x="{WIDTH/2}" y="20" text-anchor="middle" font-size="14">{title}</text>\n',
+        f'<line x1="{margin}" y1="{base}" x2="{WIDTH-margin}" y2="{base}" '
+        'stroke="black"/>\n',
+    ]
+
+
+def write_bar_chart(path, labels, values, title: str) -> None:
     """Minimal static SVG bar chart (one bar per label)."""
-    margin, base = 50, height - 60
+    margin, base = 50, HEIGHT - 60
     vmax = max(values) if values else 1
     vmax = vmax or 1
     n = max(len(values), 1)
-    slot = (width - 2 * margin) / n
-    parts = [_SVG_HEADER.format(w=width, h=height)]
-    parts.append(f'<text x="{width/2}" y="20" text-anchor="middle" '
-                 f'font-size="14">{title}</text>\n')
-    parts.append(f'<line x1="{margin}" y1="{base}" x2="{width-margin}" '
-                 f'y2="{base}" stroke="black"/>\n')
+    slot = (WIDTH - 2 * margin) / n
+    parts = _frame(title, margin, base)
     for i, (label, value) in enumerate(zip(labels, values)):
         bar_h = (value / vmax) * (base - 50)
         x = margin + i * slot + slot * 0.1
@@ -81,27 +88,22 @@ def write_bar_chart(path, labels, values, title: str, width=640, height=360) -> 
         fh.writelines(parts)
 
 
-def write_decay_chart(path, rounds, probabilities, title: str,
-                      floor: float = 2.0 ** -34, width=640, height=360) -> None:
+def write_decay_chart(path, rounds, probabilities, title: str) -> None:
     """Log-scale line chart of collision probability versus round count.
 
-    Zero estimates are drawn at ``floor`` and marked as upper bounds.
+    Zero estimates are drawn at ``FLOOR`` and marked as upper bounds.
     """
-    margin, base, top = 60, height - 50, 40
-    logs = [math.log2(p) if p > 0 else math.log2(floor) for p in probabilities]
-    lo, hi = min(logs + [math.log2(floor)]), max(logs + [0.0])
+    margin, base, top = 60, HEIGHT - 50, 40
+    logs = [math.log2(p) if p > 0 else math.log2(FLOOR) for p in probabilities]
+    lo, hi = min(logs + [math.log2(FLOOR)]), max(logs + [0.0])
     span = (hi - lo) or 1.0
 
     def xy(i, lg):
-        x = margin + i * (width - 2 * margin) / max(len(rounds) - 1, 1)
+        x = margin + i * (WIDTH - 2 * margin) / max(len(rounds) - 1, 1)
         y = base - (lg - lo) / span * (base - top)
         return x, y
 
-    parts = [_SVG_HEADER.format(w=width, h=height)]
-    parts.append(f'<text x="{width/2}" y="20" text-anchor="middle" '
-                 f'font-size="14">{title}</text>\n')
-    parts.append(f'<line x1="{margin}" y1="{base}" x2="{width-margin}" '
-                 f'y2="{base}" stroke="black"/>\n')
+    parts = _frame(title, margin, base)
     pts = [xy(i, lg) for i, lg in enumerate(logs)]
     poly = " ".join(f"{x:.1f},{y:.1f}" for x, y in pts)
     parts.append(f'<polyline points="{poly}" fill="none" stroke="#a84848" '

@@ -1,9 +1,12 @@
 """Exact pattern matching over keystream data.
 
-Engines: brute force (ground-truth oracle), KMP, Boyer-Moore, and a windowed
-hybrid that jumps with the bad-character rule and verifies candidates symbol
-by symbol.  Streams carry an alphabet tag: ``"byte"`` (8-bit symbols) or
-``"word"`` (32-bit symbols); all engines compare symbols as whole units.
+Engines (:data:`ENGINES`): brute force (ground-truth oracle), KMP,
+Boyer-Moore, and a windowed hybrid that jumps with the bad-character rule and
+verifies candidates symbol by symbol.  Their tables are the textbook ones,
+as plain values: KMP's prefix function is a tuple, and Boyer-Moore's tables
+are a last-occurrence dict and a good-suffix shift tuple.  Streams carry an
+alphabet tag: ``"byte"`` (8-bit symbols) or ``"word"`` (32-bit symbols); all
+engines compare symbols as whole units.
 
 Every report counts symbol comparisons exactly as the textbook loops make
 them.  Brute force (at each shift's first symbol) and KMP (whenever nothing
@@ -74,15 +77,6 @@ class MatchReport:
     comparisons: int = 0
     windows_scanned: int = 0
 
-    def as_dict(self) -> dict:
-        return {
-            "pattern_id": self.pattern_id,
-            "engine": self.engine,
-            "positions": list(self.positions),
-            "comparisons": self.comparisons,
-            "windows_scanned": self.windows_scanned,
-        }
-
 
 def _check_alphabets(text: SymbolStream, pattern: WordPattern) -> None:
     if text.alphabet != pattern.alphabet:
@@ -122,13 +116,9 @@ def brute_force_search(text: SymbolStream, pattern: WordPattern) -> MatchReport:
 
 # --- KMP -------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PrefixTable:
-    pi: tuple[int, ...]
-
-
-def kmp_preprocess(pattern: WordPattern) -> PrefixTable:
-    """Longest proper prefix that is also a suffix, per pattern position."""
+def kmp_preprocess(pattern: WordPattern) -> tuple[int, ...]:
+    """The prefix function pi: per pattern position, the length of the
+    longest proper prefix that is also a suffix."""
     p = pattern.symbols
     m = len(p)
     pi = [0] * m
@@ -139,21 +129,17 @@ def kmp_preprocess(pattern: WordPattern) -> PrefixTable:
         if p[i] == p[j]:
             j += 1
         pi[i] = j
-    return PrefixTable(tuple(pi))
+    return tuple(pi)
 
 
-def kmp_search(
-    text: SymbolStream, pattern: WordPattern, table: PrefixTable | None = None
-) -> MatchReport:
+def kmp_search(text: SymbolStream, pattern: WordPattern) -> MatchReport:
     """Left-to-right scan with prefix-table fallbacks; <= 2n comparisons.
 
     Overlapping occurrences are reported (after a full match the pattern
     index falls back to pi[m-1]).
     """
     _check_alphabets(text, pattern)
-    if table is None:
-        table = kmp_preprocess(pattern)
-    t, p, pi = text.symbols, pattern.symbols, table.pi
+    t, p, pi = text.symbols, pattern.symbols, kmp_preprocess(pattern)
     n, m = len(t), len(p)
     first, find = p[0], t.index
     positions, comparisons = [], 0
@@ -190,29 +176,10 @@ def kmp_search(
 
 # --- Boyer-Moore -----------------------------------------------------------
 
-@dataclass(frozen=True)
-class BadCharTable:
-    """Rightmost occurrence per symbol; absent symbols shift the full length."""
-
-    last_occurrence: dict
-    m: int
-
-    def shift(self, symbol) -> int:
-        # base (position-independent) shift: max(1, m-1-last(c)), or m if absent
-        last = self.last_occurrence.get(symbol)
-        if last is None:
-            return self.m
-        return max(1, self.m - 1 - last)
-
-
-@dataclass(frozen=True)
-class GoodSuffixTable:
-    """Shift distance indexed by matched-suffix length k = 0..m."""
-
-    gs: tuple[int, ...]
-
-
-def bm_preprocess(pattern: WordPattern) -> tuple[BadCharTable, GoodSuffixTable]:
+def bm_preprocess(pattern: WordPattern) -> tuple[dict, tuple[int, ...]]:
+    """The bad-character table, each symbol's rightmost position in the
+    pattern, and the good-suffix shifts gs[k] for a matched suffix of
+    length k = 0..m."""
     p = pattern.symbols
     m = len(p)
     last = {}
@@ -238,27 +205,19 @@ def bm_preprocess(pattern: WordPattern) -> tuple[BadCharTable, GoodSuffixTable]:
             shift[i] = j
         if i == j:
             j = border[j]
-    gs = tuple(shift[m - k] for k in range(m + 1))
-    return BadCharTable(last, m), GoodSuffixTable(gs)
+    return last, tuple(shift[m - k] for k in range(m + 1))
 
 
-def bm_search(
-    text: SymbolStream,
-    pattern: WordPattern,
-    tables: tuple[BadCharTable, GoodSuffixTable] | None = None,
-) -> MatchReport:
+def bm_search(text: SymbolStream, pattern: WordPattern) -> MatchReport:
     """Right-to-left scan shifting by max(good-suffix, bad-character)."""
     _check_alphabets(text, pattern)
-    if tables is None:
-        tables = bm_preprocess(pattern)
-    bc, gst = tables
+    last, gs = bm_preprocess(pattern)
     t, p = text.symbols, pattern.symbols
     n, m = len(t), len(p)
-    gs = gst.gs
-    full_shift, last_get, tail = gs[m], bc.last_occurrence.get, m - 1
+    full_shift, last_get, tail = gs[m], last.get, m - 1
     p_tail = p[tail]
     # the shift after a mismatch at the last pattern symbol, per text symbol
-    tail_get = {c: max(gs[0], bc.shift(c)) for c in bc.last_occurrence}.get
+    tail_get = {c: max(gs[0], m - 1 - last[c], 1) for c in last}.get
     absent_shift = max(gs[0], m)
     positions, comparisons = [], 0
     s, stop = 0, n - m
@@ -303,8 +262,8 @@ def hybrid_search(
     patterns: list[WordPattern],
     config: HybridConfig | None = None,
 ) -> tuple[dict[str, MatchReport], set[str]]:
-    """Windowed scan: bad-character jumps locate candidates whose last and
-    first symbols match, a left-to-right symbol comparison verifies them, and
+    """Windowed scan: bad-character jumps locate candidates whose last symbol
+    matches, a left-to-right comparison of the other symbols verifies them, and
     per-pattern empirical probabilities are compared against 2^-|P| plus a
     3-sigma sampling-error margin.
 
@@ -333,7 +292,7 @@ def hybrid_search(
         jump = {}
         for idx in range(m - 1):
             jump[p[idx]] = m - 1 - idx
-        jump_get, first, p_tail, tail = jump.get, p[0], p[m - 1], m - 1
+        jump_get, p_tail, tail = jump.get, p[m - 1], m - 1
         positions, comparisons = [], 0
         n_windows = max(0, math.ceil((n - m + 1) / wlen)) if n >= m else 0
         for w in range(n_windows):
@@ -343,16 +302,14 @@ def hybrid_search(
                 last_sym = t[s + tail]
                 comparisons += 1
                 if last_sym == p_tail:
-                    comparisons += 1    # the first-symbol test
-                    if t[s] == first:
-                        j = 0
-                        while j < m:
-                            comparisons += 1
-                            if t[s + j] != p[j]:
-                                break
-                            j += 1
-                        if j == m:
-                            positions.append(s)
+                    j = 0
+                    while j < tail:
+                        comparisons += 1
+                        if t[s + j] != p[j]:
+                            break
+                        j += 1
+                    if j == tail:
+                        positions.append(s)
                 s += jump_get(last_sym, m)
         reports[pattern.pattern_id] = MatchReport(
             pattern.pattern_id, "hybrid", positions, comparisons, n_windows)
@@ -366,17 +323,20 @@ def hybrid_search(
     return reports, flagged
 
 
+def _hybrid_one(text: SymbolStream, pattern: WordPattern) -> MatchReport:
+    """The hybrid scan of one pattern, without the flag rule's verdict."""
+    return hybrid_search(text, [pattern])[0][pattern.pattern_id]
+
+
 ENGINES = {
     "brute": brute_force_search,
     "kmp": kmp_search,
     "bm": bm_search,
+    "hybrid": _hybrid_one,
 }
 
 
 def search(text: SymbolStream, pattern: WordPattern, engine: str) -> MatchReport:
-    if engine == "hybrid":
-        reports, _ = hybrid_search(text, [pattern])
-        return reports[pattern.pattern_id]
     try:
         fn = ENGINES[engine]
     except KeyError:

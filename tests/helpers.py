@@ -220,15 +220,13 @@ def hybrid_reference(t, p, wlen):
             last_sym = t[s + m - 1]
             comparisons += 1
             if last_sym == p[m - 1]:
-                comparisons += 1
-                if t[s] == p[0]:
-                    j = 0
-                    while j < m:
-                        comparisons += 1
-                        if t[s + j] != p[j]:
-                            break
-                        j += 1
-                    if j == m:
-                        positions.append(s)
+                j = 0
+                while j < m - 1:
+                    comparisons += 1
+                    if t[s + j] != p[j]:
+                        break
+                    j += 1
+                if j == m - 1:
+                    positions.append(s)
             s += jump.get(last_sym, m)
     return positions, comparisons, windows

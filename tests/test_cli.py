@@ -142,6 +142,20 @@ class TestRecordCount:
         assert run(self.ARGV["scan"](path, tmp_path)) == cli.EXIT_OK
 
     @pytest.mark.parametrize("command", sorted(ARGV))
+    @pytest.mark.parametrize("line", [1, 2])
+    def test_non_utf8_is_io_error(self, tmp_path, command, line, capsys):
+        path = tmp_path / "ds.txt"
+        assert run(["gen", "--blocks", "3", "--seed", "1", "--out", str(path)]) == cli.EXIT_OK
+        lines = path.read_bytes().splitlines(keepends=True)
+        lines[line - 1] = lines[line - 1][:-2] + b"\xff\n"
+        path.write_bytes(b"".join(lines))
+        capsys.readouterr()
+        assert run(self.ARGV[command](path, tmp_path)) == cli.EXIT_IO
+        captured = capsys.readouterr()
+        assert f"I/O error: line {line}:" in captured.err
+        assert "matches" not in captured.out and "chi2" not in captured.out
+
+    @pytest.mark.parametrize("command", sorted(ARGV))
     @pytest.mark.parametrize("header", ['{"format_version": 2, "n_blocks": 3}',
                                         '{"n_blocks": 3}', "[1, 2]"])
     def test_bad_header_is_io_error(self, tmp_path, command, header, capsys):
@@ -336,15 +350,68 @@ class TestBench:
         assert not out.exists()
 
 
+class TestReport:
+    ARGV = ["--blocks", "64", "--trials", "1024", "--seed", "7"]
+    FILES = ["collision_decay.svg", "collision_stats.csv", "dataset.txt",
+             "freq_m16.csv", "freq_m32.csv", "freq_m8.csv",
+             "top10_m16.svg", "top10_m32.svg", "top10_m8.svg"]
+
+    def test_outputs_equal_the_commands_run_alone(self, tmp_path, capsys):
+        out = tmp_path / "rep"
+        assert run(["report", *self.ARGV, "--out-dir", str(out)]) == cli.EXIT_OK
+        assert sorted(os.listdir(out)) == self.FILES
+        from_report = {name: (out / name).read_bytes() for name in self.FILES}
+        ds = str(out / "dataset.txt")
+        for argv in (["gen", "--blocks", "64", "--seed", "7", "--out", ds],
+                     ["freq", "--dataset", ds, "--out-dir", str(out)],
+                     ["diff", "--trials", "1024", "--rounds", "1", "2", "4",
+                      "--include-zero-control", "--seed", "7", "--out-dir", str(out)]):
+            assert run(argv) == cli.EXIT_OK
+        for name in self.FILES:
+            # the CSVs' first line is "# config_hash=...": the same options
+            # and out-dir hash the same, whichever command ran them
+            assert (out / name).read_bytes() == from_report[name], name
+
+    def test_stops_at_first_failure(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "cmd_freq", lambda args: cli.EXIT_ANALYSIS)
+        out = tmp_path / "rep"
+        assert run(["report", *self.ARGV, "--out-dir", str(out)]) == cli.EXIT_ANALYSIS
+        assert os.listdir(out) == ["dataset.txt"]
+
+
 class TestUsage:
+    COMMANDS = ["gen", "scan", "freq", "diff", "avalanche", "sweep", "bench", "report"]
+    SEEDED = {"gen": ["--out", "x.txt"], "diff": [], "avalanche": [], "sweep": [],
+              "bench": [], "report": []}
+
     def test_no_command(self):
         assert run([]) == cli.EXIT_USAGE
 
     def test_unknown_command(self):
         assert run(["frobnicate"]) == cli.EXIT_USAGE
 
-    def test_help_exits_ok(self):
+    def test_help_exits_ok(self, capsys):
         assert run(["--help"]) == cli.EXIT_OK
+        assert "{" + ",".join(self.COMMANDS) + "}" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_command_help_exits_ok(self, command, capsys):
+        assert run([command, "--help"]) == cli.EXIT_OK
+        assert f"usage: keystream-lab {command}" in capsys.readouterr().out
+
+    def test_seeded_commands_accept_seed(self):
+        parser = cli.build_parser()
+        for command, required in self.SEEDED.items():
+            assert parser.parse_args([command, "--seed", "9", *required]).seed == 9
+
+    @pytest.mark.parametrize("command", ["scan", "freq"])
+    def test_unseeded_commands_reject_seed(self, command, capsys):
+        assert run([command, "--dataset", "x.txt", "--seed", "9"]) == cli.EXIT_USAGE
+        assert "unrecognized arguments: --seed" in capsys.readouterr().err
+
+    def test_engine_choices_are_the_engines(self, capsys):
+        assert run(["scan", "--dataset", "x.txt", "--engine", "regex"]) == cli.EXIT_USAGE
+        assert "'brute', 'kmp', 'bm', 'hybrid'" in capsys.readouterr().err
 
 
 class TestReportHelpers:

@@ -253,6 +253,28 @@ class TestPersistence:
             load(path)
         assert exc.value.line == 1
 
+    def test_boolean_n_blocks_rejected(self, tmp_path):
+        # True == 1, so only a type check tells it from a count of one record
+        blocks = generate_dataset(DatasetConfig(n_blocks=1, rng_seed=1))
+        path = tmp_path / "bool.txt"
+        header = {**DatasetConfig(n_blocks=1, rng_seed=1).as_dict(), "n_blocks": True}
+        path.write_text(json.dumps(header) + "\n" + to_hex(blocks)[0] + "\n")
+        with pytest.raises(DatasetFormatError, match="n_blocks=true") as exc:
+            load(path)
+        assert exc.value.line == 1
+
+    @pytest.mark.parametrize("line", [1, 3])
+    def test_non_utf8_line_number(self, tmp_path, line):
+        cfg = DatasetConfig(n_blocks=2, rng_seed=1)
+        path = tmp_path / "bad.txt"
+        persist(generate_dataset(cfg), cfg, path)
+        lines = path.read_bytes().splitlines(keepends=True)
+        lines[line - 1] = b"\xff" + lines[line - 1][1:]
+        path.write_bytes(b"".join(lines))
+        with pytest.raises(DatasetFormatError) as exc:
+            load(path)
+        assert exc.value.line == line
+
     def test_bad_record_line_number(self, tmp_path):
         cfg = DatasetConfig(n_blocks=2, rng_seed=1)
         path = tmp_path / "trunc.txt"

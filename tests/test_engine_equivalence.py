@@ -22,11 +22,11 @@ MAX_M = 8  # a word window holds 8 symbols, the hybrid's longest pattern
 
 def assert_engines_match_references(t, p, alphabet):
     text, pattern = SymbolStream(t, alphabet), WordPattern(p, "p", alphabet)
-    bc, gst = bm_preprocess(pattern)
+    last, gs = bm_preprocess(pattern)
     expected = {
         "brute": brute_reference(t, p),
-        "kmp": kmp_reference(t, p, kmp_preprocess(pattern).pi),
-        "bm": bm_reference(t, p, bc.last_occurrence, gst.gs),
+        "kmp": kmp_reference(t, p, kmp_preprocess(pattern)),
+        "bm": bm_reference(t, p, last, gs),
         "hybrid": hybrid_reference(t, p, HybridConfig().window_symbols(alphabet)),
     }
     for engine, want in expected.items():

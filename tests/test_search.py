@@ -3,9 +3,8 @@ import random
 import pytest
 
 from keystream_lab.search import (
-    BadCharTable,
+    ENGINES,
     HybridConfig,
-    MatchReport,
     SymbolStream,
     WordPattern,
     bm_preprocess,
@@ -63,33 +62,35 @@ class TestStreams:
 
 class TestPrefixTable:
     def test_repeated_symbol(self):
-        assert kmp_preprocess(mkpat([7, 7, 7, 7])).pi == (0, 1, 2, 3)
+        assert kmp_preprocess(mkpat([7, 7, 7, 7])) == (0, 1, 2, 3)
 
     def test_distinct_symbols(self):
-        assert kmp_preprocess(mkpat([1, 2, 3, 4])).pi == (0, 0, 0, 0)
+        assert kmp_preprocess(mkpat([1, 2, 3, 4])) == (0, 0, 0, 0)
 
     def test_partial_borders(self):
-        assert kmp_preprocess(mkpat([1, 1, 2, 1, 1])).pi == (0, 1, 0, 1, 2)
-        assert kmp_preprocess(mkpat([1, 2, 1, 1, 2])).pi == (0, 0, 1, 1, 2)
+        assert kmp_preprocess(mkpat([1, 1, 2, 1, 1])) == (0, 1, 0, 1, 2)
+        assert kmp_preprocess(mkpat([1, 2, 1, 1, 2])) == (0, 0, 1, 1, 2)
 
 
 class TestBadCharTable:
     def test_shift_semantics(self):
-        bc, _ = bm_preprocess(mkpat([1, 2, 3, 2]))
-        assert bc.shift(9) == 4          # absent: full length
-        assert bc.shift(1) == 3          # m-1-last = 4-1-0
-        assert bc.shift(2) == 1          # rightmost occurrence at m-1 clamps to 1
-        assert bc.shift(3) == 1
+        pat = mkpat([1, 2, 3, 2])
+        last, _ = bm_preprocess(pat)
+        assert last == {1: 0, 2: 3, 3: 2}    # rightmost position per symbol
+        # a mismatch at the last symbol shifts the full length, m = 4, on an
+        # absent symbol and m-1-last = 3 on symbol 1: one comparison a shift
+        assert bm_search(mktext([9] * 8), pat).comparisons == 2
+        assert bm_search(mktext([1] * 7), pat).comparisons == 2
 
     def test_good_suffix_no_repeats(self):
-        _, gst = bm_preprocess(mkpat([1, 2, 3]))
+        _, gs = bm_preprocess(mkpat([1, 2, 3]))
         # matched length 0 shifts by 1; a full match shifts past the pattern
-        assert gst.gs[0] == 1
-        assert gst.gs[len(gst.gs) - 1] >= 1
+        assert gs[0] == 1
+        assert gs[len(gs) - 1] >= 1
 
     def test_good_suffix_periodic(self):
-        _, gst = bm_preprocess(mkpat([1, 2, 1, 2]))
-        assert gst.gs[4] == 2            # full match of an m/2-periodic pattern
+        _, gs = bm_preprocess(mkpat([1, 2, 1, 2]))
+        assert gs[4] == 2            # full match of an m/2-periodic pattern
 
 
 class TestOracleEquivalence:
@@ -129,6 +130,9 @@ class TestOracleEquivalence:
         with pytest.raises(ValueError):
             search(mktext([1]), mkpat([1]), "regex")
 
+    def test_engines_lists_all_four(self):
+        assert list(ENGINES) == ["brute", "kmp", "bm", "hybrid"]
+
 
 class TestKmpBound:
     def test_comparisons_at_most_2n(self):
@@ -140,12 +144,6 @@ class TestKmpBound:
             pat = mkpat([rng.randrange(3) for _ in range(m)])
             rep = kmp_search(text, pat)
             assert rep.comparisons <= 2 * n
-
-    def test_precomputed_table_reused(self):
-        pat = mkpat([1, 2, 1])
-        table = kmp_preprocess(pat)
-        text = mktext([1, 2, 1, 2, 1])
-        assert kmp_search(text, pat, table).positions == [0, 2]
 
 
 class TestHybrid:
@@ -159,14 +157,20 @@ class TestHybrid:
         # one hit of a 16-bit pattern in 99 positions is a genuine excess
         assert flagged == {"1-2"}
 
-    def test_first_symbol_test_counted(self):
-        # each shift whose last symbol matches also tests t[s] == p[0]: the
-        # four shifts make 4 last-symbol tests, 4 first-symbol tests and 4
-        # verification tests at the two hits
+    def test_known_symbols_not_retested(self):
+        # each shift whose last symbol matches verifies p[0] .. p[m-2] only:
+        # the four shifts make 4 last-symbol tests and 4 tests of t[s] == p[0]
         text = mktext([1, 2, 1, 2, 2, 2, 2, 2])
         rep = hybrid_search(text, [mkpat([1, 2])])[0]["1-2"]
         assert rep.positions == [0, 2]
-        assert rep.comparisons == 12
+        assert rep.comparisons == 8
+
+    def test_single_symbol_pattern_needs_no_verification(self):
+        # m = 1: the last-symbol test is the whole match, one per shift
+        text = mktext([3, 1, 3, 3, 2])
+        rep = hybrid_search(text, [mkpat([3])])[0]["3"]
+        assert rep.positions == [0, 2, 3]
+        assert rep.comparisons == 5
 
     def test_word_window_capacity(self):
         cfg = HybridConfig(window_bits=256)
@@ -201,9 +205,3 @@ class TestHybrid:
         # 4-byte pattern: expected hits ~ 5000 * 2^-32, zero hits is typical
         _, flagged = hybrid_search(text, [mkpat([1, 2, 3, 4], pid="bg")])
         assert "bg" not in flagged
-
-    def test_report_dict_shape(self):
-        rep = MatchReport("x", "kmp", [3], 7, 1)
-        d = rep.as_dict()
-        assert d == {"pattern_id": "x", "engine": "kmp", "positions": [3],
-                     "comparisons": 7, "windows_scanned": 1}
