@@ -84,7 +84,11 @@ def cmd_scan(args) -> int:
     text = search.SymbolStream.from_bytes(data, args.alphabet)
     patterns = []
     for i, hex_pat in enumerate(args.pattern):
-        pstream = search.SymbolStream.from_bytes(bytes.fromhex(hex_pat), args.alphabet)
+        raw = bytes.fromhex(hex_pat)
+        if args.alphabet == "word":
+            # 8 hex digits per word value, as freq_m32.csv and dataset files write it
+            raw = b"".join(raw[j: j + 4][::-1] for j in range(0, len(raw), 4))
+        pstream = search.SymbolStream.from_bytes(raw, args.alphabet)
         patterns.append(
             search.WordPattern(pstream.symbols, f"p{i}", args.alphabet)
         )
@@ -147,10 +151,14 @@ def cmd_freq(args) -> int:
     return EXIT_OK
 
 
-def cmd_diff(args) -> int:
-    cfg = diff.TrialConfig(
+def _trial_config(args) -> diff.TrialConfig:
+    return diff.TrialConfig(
         trials=args.trials, rounds=tuple(args.rounds), rng_seed=args.seed
     )
+
+
+def cmd_diff(args) -> int:
+    cfg = _trial_config(args)
     outdir = Path(args.out_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     deltas = diff.default_delta_set()
@@ -195,10 +203,7 @@ def cmd_avalanche(args) -> int:
 
 def cmd_sweep(args) -> int:
     sets = [tuple(int(x) for x in spec.split(",")) for spec in args.sets.split(";")]
-    cfg = diff.TrialConfig(
-        trials=args.trials, rounds=tuple(args.rounds), rng_seed=args.seed
-    )
-    results = diff.rotation_sweep(sets, cfg)
+    results = diff.rotation_sweep(sets, _trial_config(args))
     for res in results:
         print(f"{res.rotations}: mean_flipped={res.mean_flipped_bits:.2f} "
               f"(se {res.flipped_bits_se:.3f}) "
@@ -261,18 +266,18 @@ def cmd_report(args) -> int:
     """Run the full desk-scale campaign (dataset, frequency analysis and the
     differential decay table) as the ``gen``, ``freq`` and ``diff`` commands
     parsed from these options; stop at the first non-zero exit."""
-    Path(args.out_dir).mkdir(parents=True, exist_ok=True)
     ds_path, seed = str(Path(args.out_dir) / "dataset.txt"), f"--seed={args.seed}"
-    steps = [
+    parse = build_parser().parse_args
+    steps = [parse(argv) for argv in (
         ["gen", f"--mode={args.mode}", f"--blocks={args.blocks}",
          f"--preset={args.preset}", f"--out={ds_path}", seed],
         ["freq", f"--dataset={ds_path}", f"--out-dir={args.out_dir}"],
         ["diff", f"--trials={args.trials}", "--rounds", "1", "2", "4",
          "--include-zero-control", f"--out-dir={args.out_dir}", seed],
-    ]
-    parser = build_parser()
-    for argv in steps:
-        step = parser.parse_args(argv)
+    )]
+    _trial_config(steps[-1])  # reject the diff options before any step writes
+    Path(args.out_dir).mkdir(parents=True, exist_ok=True)
+    for step in steps:
         rc = step.func(step)
         if rc != EXIT_OK:
             return rc
@@ -299,7 +304,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scan", help="search patterns in a dataset")
     p.add_argument("--dataset", required=True)
     p.add_argument("--pattern", action="append", default=[],
-                   help="hex-encoded pattern (repeatable)")
+                   help="hex-encoded pattern, 8 digits per word value with "
+                   "--alphabet word (repeatable)")
     p.add_argument("--engine", choices=list(search.ENGINES), default="kmp")
     p.add_argument("--alphabet", choices=["byte", "word"], default="word")
     p.add_argument("--out")

@@ -94,6 +94,8 @@ class DatasetConfig:
             raise ValueError("mode must be 'fixed' or 'variable'")
         if self.n_blocks < 1:
             raise ValueError("n_blocks must be >= 1")
+        if not 0 <= self.rng_seed < 1 << 64:
+            raise ValueError("rng_seed must be in [0, 2^64)")
         if self.entropy not in ("seeded", "os"):
             raise ValueError("entropy must be 'seeded' or 'os'")
 

@@ -29,7 +29,7 @@ _AVALANCHE_LANES = 1 << 15    # lanes per avalanche kernel call (at least one ro
 _BYTE_BITS = (np.arange(256)[:, None] >> np.arange(8)) & 1    # [v, b]: bit b of byte v
 
 
-def _paired_rounds(x, xp, report, rotations, variant, word_bits=32):
+def _paired_rounds(x, xp, report, rotations=ROTATIONS, variant="native", word_bits=32):
     """Run the (4, n) uint32 arrays x and xp through ``max(report)`` quarter
     rounds; after each round r in ``report`` (0 included) yield (r, y ^ y')
     as one (4, n) array."""
@@ -119,7 +119,6 @@ def collision_trial_batch(
     delta,
     cfg: TrialConfig,
     rotations=ROTATIONS,
-    qrf_variant: str = "native",
     word_bits: int = 32,
 ) -> dict[int, CollisionStats]:
     """Per-round collision statistics for one input difference.
@@ -145,7 +144,7 @@ def collision_trial_batch(
         # quads side by side: lanes q * n .. (q + 1) * n - 1 hold quad q of each trial
         x = np.hstack(rng.integers(0, 1 << word_bits, (n_quads, 4, n), dtype=np.uint32))
         xp = (x.reshape(4, n_quads, n) ^ dq).reshape(4, -1)
-        for r, d in _paired_rounds(x, xp, cfg.rounds, rotations, qrf_variant, word_bits):
+        for r, d in _paired_rounds(x, xp, cfg.rounds, rotations, word_bits=word_bits):
             hw = np.bitwise_count(d).reshape(4, n_quads, n).sum(axis=(0, 1), dtype=np.uint16)
             full[r] += int(np.count_nonzero(hw == 0))
             partial[r] += int(np.count_nonzero((hw > 0) & (hw <= thr)))
@@ -179,8 +178,6 @@ def propagation_track(
     delta,
     x_quad: tuple[int, int, int, int],
     max_rounds: int,
-    rotations=ROTATIONS,
-    qrf_variant: str = "native",
 ) -> list[tuple[int, int, int, int]]:
     """Per-round output differences for one paired evaluation.
 
@@ -193,7 +190,7 @@ def propagation_track(
     x = np.array(_check_words("x_quad", x_quad, 4), dtype=np.uint32)[:, None]
     xp = x ^ np.array(_check_words("delta", delta, 4), dtype=np.uint32)[:, None]
     return [tuple(int(w) for w in d[:, 0]) for _, d in _paired_rounds(
-        x, xp, range(1, max_rounds + 1), rotations, qrf_variant)]
+        x, xp, range(1, max_rounds + 1))]
 
 
 @dataclass
@@ -282,11 +279,7 @@ class SweepResult:
         }
 
 
-def rotation_sweep(
-    constant_sets,
-    cfg: TrialConfig,
-    qrf_variant: str = "native",
-) -> list[SweepResult]:
+def rotation_sweep(constant_sets, cfg: TrialConfig) -> list[SweepResult]:
     """Collision and diffusion metrics for substituted rotation constants.
 
     Collisions are counted for the input difference 2^31 in word d.  Mean
@@ -300,10 +293,8 @@ def rotation_sweep(
         rotations = tuple(int(r) for r in rotations)
         if len(rotations) != 6 or any(not 1 <= r <= 31 for r in rotations):
             raise ValueError(f"rotation set {rotations} must be six amounts in [1, 31]")
-        stats_by_round = collision_trial_batch(
-            (0, 0, 0, 0x80000000), cfg, rotations=rotations, qrf_variant=qrf_variant
-        )
-        collision = stats_by_round[max_round]
+        delta = (0, 0, 0, 0x80000000)
+        collision = collision_trial_batch(delta, cfg, rotations)[max_round]
         # diffusion: weight of the output difference for a single random
         # input bit flip, after max_round rounds
         rng = np.random.default_rng(cfg.rng_seed ^ 0x5EED)
@@ -312,7 +303,7 @@ def rotation_sweep(
         word = rng.integers(0, 4, n)
         bit = rng.integers(0, 32, n, dtype=np.uint32)
         xp = x ^ np.where(word == np.arange(4)[:, None], np.uint32(1) << bit, np.uint32(0))
-        _, d = next(_paired_rounds(x, xp, (max_round,), rotations, qrf_variant))
+        _, d = next(_paired_rounds(x, xp, (max_round,), rotations))
         hw = np.bitwise_count(d).sum(axis=0, dtype=np.int64)
         mean = float(hw.mean())
         se = float(hw.std(ddof=1) / math.sqrt(n))

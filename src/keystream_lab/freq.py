@@ -1,10 +1,13 @@
 """m-gram frequency counting and significance testing over keystream bytes.
 
 m=8 and m=16 grams slide byte-wise; m=32 grams are word-aligned, matching the
-cipher's 32-bit internal operations.  Per-pattern z-scores use the binomial
-model f ~ Bin(N, 2^-m); the chi-square test runs over the full cell table for
-m=8/16 and over 2^16 XOR-fold buckets for m=32 (enumerating 2^32 cells is not
-tractable, and the fold keeps sensitivity to word-level structure).
+cipher's 32-bit internal operations.  Every test reads one dense cell table
+per ``FrequencyTable``: one cell per pattern for m=8/16, one per XOR-fold
+bucket (high half xor low half) of a word for m=32.  2^32 word cells are not
+tractable, and a per-word test at q = 2^-32 would flag every repeated word;
+the fold keeps sensitivity to word-level structure.  z-scores model a cell's
+count as Bin(N, 1/cells), so a word's z is its bucket's; the chi-square test
+runs over the same cells.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy import stats
@@ -30,34 +34,50 @@ class MGramSpec:
             raise ValueError("m_bits must be one of 8, 16, 32")
 
 
+def _cell_of(patterns, m_bits: int):
+    """The cell of each pattern: itself for m=8/16, its XOR-fold bucket for
+    m=32.  Takes an int or a uint32 array."""
+    return (patterns >> 16) ^ (patterns & 0xFFFF) if m_bits == 32 else patterns
+
+
 @dataclass
 class FrequencyTable:
-    """Distinct m-gram ``values`` (ascending) and their ``counts``, of ``n``."""
+    """Distinct m-gram ``values`` (ascending) and their ``counts``, of ``n``,
+    with the dense ``cells`` the significance tests read."""
 
     values: np.ndarray
     counts: np.ndarray
     n: int
     m_bits: int
+    cells: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        size = FOLD_BUCKETS if self.m_bits == 32 else 1 << self.m_bits
+        self.cells = np.zeros(size, dtype=np.int64)
+        np.add.at(self.cells, _cell_of(self.values, self.m_bits), self.counts)
 
     def count(self, pattern: int) -> int:
         i = np.searchsorted(self.values, pattern)
         found = i < len(self.values) and self.values[i] == pattern
         return int(self.counts[i]) if found else 0
 
+    def cell(self, pattern: int) -> int:
+        """Index in ``cells`` of the cell that holds ``pattern``."""
+        pattern = int(pattern)
+        if not 0 <= pattern < 1 << self.m_bits:
+            raise ValueError(f"pattern {pattern} is not in [0, 2^{self.m_bits})")
+        return _cell_of(pattern, self.m_bits)
+
 
 @dataclass(frozen=True)
 class SignificanceConfig:
     alpha: float = 1e-6
-    z_threshold: float = 4.89
     chi2_alpha: float = 0.001
 
-    def __post_init__(self):
-        quantile = stats.norm.ppf(1.0 - self.alpha / 2.0)
-        if abs(quantile - self.z_threshold) > 0.01:
-            raise ValueError(
-                f"z_threshold {self.z_threshold} inconsistent with alpha "
-                f"{self.alpha} (quantile {quantile:.4f})"
-            )
+    @cached_property
+    def z_threshold(self) -> float:
+        """The two-sided normal quantile at ``alpha``: 4.8916 at 1e-6."""
+        return float(stats.norm.ppf(1.0 - self.alpha / 2.0))
 
 
 @dataclass
@@ -100,34 +120,26 @@ def extract_mgrams(keystream: bytes, spec: MGramSpec) -> FrequencyTable:
     return FrequencyTable(values.astype(np.uint32), cells[values], n, spec.m_bits)
 
 
+def _cell_z(table: FrequencyTable, counts):
+    """z-scores of cell counts under Bin(N, 1/cells), with the model's
+    expected count and variance."""
+    if table.n <= 0:
+        raise ValueError("empty table: N must be > 0")
+    q = 1.0 / len(table.cells)
+    expected = table.n * q
+    variance = table.n * q * (1.0 - q)
+    return (counts - expected) / math.sqrt(variance), expected, variance
+
+
 def z_score(
     table: FrequencyTable, pattern: int, cfg: SignificanceConfig | None = None
 ) -> ZScoreResult:
-    """Normalised deviation of a pattern's count from the uniform expectation."""
+    """Normalised deviation of the count of the cell holding ``pattern``
+    (for m=32, the word's fold bucket) from the uniform expectation."""
     if cfg is None:
         cfg = SignificanceConfig()
-    if table.n <= 0:
-        raise ValueError("empty table: N must be > 0")
-    q = 2.0 ** (-table.m_bits)
-    expected = table.n * q
-    variance = table.n * q * (1.0 - q)
-    z = (table.count(pattern) - expected) / math.sqrt(variance)
-    return ZScoreResult(pattern, z, expected, variance, z > cfg.z_threshold)
-
-
-def _fold32(words: np.ndarray) -> np.ndarray:
-    return ((words >> np.uint32(16)) ^ (words & np.uint32(0xFFFF))).astype(np.int64)
-
-
-def _cell_counts(table: FrequencyTable) -> np.ndarray:
-    """Dense cell counts: full table for m=8/16, XOR-fold buckets for m=32."""
-    if table.m_bits in (8, 16):
-        cells = np.zeros(1 << table.m_bits, dtype=np.int64)
-        cells[table.values] = table.counts
-        return cells
-    folded = np.bincount(_fold32(table.values), weights=table.counts,
-                         minlength=FOLD_BUCKETS)
-    return folded.astype(np.int64)
+    z, expected, variance = _cell_z(table, table.cells[table.cell(pattern)])
+    return ZScoreResult(pattern, float(z), expected, variance, bool(z > cfg.z_threshold))
 
 
 def chi_square(
@@ -137,7 +149,7 @@ def chi_square(
     ``chi2_alpha`` for the table's degrees of freedom."""
     if cfg is None:
         cfg = SignificanceConfig()
-    cells = _cell_counts(table)
+    cells = table.cells
     expected = table.n / len(cells)
     if expected < 5:
         warnings.warn(
@@ -162,23 +174,10 @@ def top_k(table: FrequencyTable, k: int) -> list[tuple[int, int]]:
 def scan_significant(
     table: FrequencyTable, cfg: SignificanceConfig | None = None
 ) -> list[ZScoreResult]:
-    """All cells whose z-score exceeds the threshold.
-
-    For m=8/16 this scans every pattern value; for m=32 the scan runs over
-    the 2^16 XOR-fold buckets (bucket probability 2^-16), since per-pattern
-    expectations at 2^-32 are far below one count at any tractable N and a
-    literal per-pattern test would flag every repeated word.
-    """
+    """All cells whose z-score exceeds the threshold; a result's ``pattern``
+    is its cell index (for m=32, the fold bucket)."""
     if cfg is None:
         cfg = SignificanceConfig()
-    if table.n <= 0:
-        raise ValueError("empty table: N must be > 0")
-    cells = _cell_counts(table)
-    q = 1.0 / len(cells)
-    expected = table.n * q
-    sd = math.sqrt(table.n * q * (1.0 - q))
-    z = (cells - expected) / sd
-    hits = np.nonzero(z > cfg.z_threshold)[0]
-    return [
-        ZScoreResult(int(i), float(z[i]), expected, sd * sd, True) for i in hits
-    ]
+    z, expected, variance = _cell_z(table, table.cells)
+    return [ZScoreResult(int(i), float(z[i]), expected, variance, True)
+            for i in np.flatnonzero(z > cfg.z_threshold)]

@@ -12,12 +12,9 @@ import csv
 import hashlib
 import json
 import math
-from dataclasses import asdict, is_dataclass
 
 
-def config_hash(config) -> str:
-    if is_dataclass(config) and not isinstance(config, type):
-        config = asdict(config)
+def config_hash(config: dict) -> str:
     blob = json.dumps(config, sort_keys=True, default=str).encode()
     return hashlib.sha256(blob).hexdigest()[:12]
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import keystream_lab
-from keystream_lab import cli, dataset, search
+from keystream_lab import cli, dataset, freq, search
 from keystream_lab.report import config_hash, write_bar_chart, write_csv, write_decay_chart
 
 
@@ -72,21 +72,31 @@ class TestScan:
     def test_pattern_found(self, small_dataset, tmp_path, capsys):
         blocks, _ = dataset.load(small_dataset)
         target = f"{blocks[0, 3]:08x}"
-        # hex is byte-order free for the byte alphabet; use word alphabet with
-        # the word's little-endian byte encoding
-        raw = dataset.dataset_bytes(blocks[:1])[12:16].hex()
         out = tmp_path / "scan.csv"
-        rc = run(["scan", "--dataset", str(small_dataset), "--pattern", raw,
+        rc = run(["scan", "--dataset", str(small_dataset), "--pattern", target,
                   "--engine", "kmp", "--alphabet", "word", "--out", str(out)])
         assert rc == cli.EXIT_OK
         captured = capsys.readouterr().out
-        assert "matches" in captured
+        assert int(captured.split("p0: ")[1].split()[0]) >= 1
         assert out.exists()
-        del target
+
+    def test_word_from_freq_found_count_times(self, tmp_path, capsys):
+        # freq_m32.csv writes a word as its value; scan reads the same notation
+        path, outdir = tmp_path / "ds.txt", tmp_path / "r"
+        assert run(["gen", "--mode", "fixed", "--blocks", "2500", "--seed", "5",
+                    "--out", str(path)]) == cli.EXIT_OK
+        assert run(["freq", "--dataset", str(path), "--m", "32", "--top", "1",
+                    "--out-dir", str(outdir)]) == cli.EXIT_OK
+        row = read_rows(outdir / "freq_m32.csv")[0]
+        capsys.readouterr()
+        for engine in search.ENGINES:
+            assert run(["scan", "--dataset", str(path), "--pattern", row["pattern_hex"],
+                        "--engine", engine, "--alphabet", "word"]) == cli.EXIT_OK
+            assert f"p0: {row['count']} matches" in capsys.readouterr().out
 
     def test_engines_agree(self, small_dataset, capsys):
         blocks, _ = dataset.load(small_dataset)
-        raw = dataset.dataset_bytes(blocks[2:3])[0:8].hex()
+        raw = f"{blocks[2, 0]:08x}{blocks[2, 1]:08x}"
         outputs = []
         for engine in ("brute", "kmp", "bm", "hybrid"):
             rc = run(["scan", "--dataset", str(small_dataset), "--pattern", raw,
@@ -95,7 +105,7 @@ class TestScan:
             line = [l for l in capsys.readouterr().out.splitlines()
                     if "matches" in l][0]
             outputs.append(line.split(":")[1].split("(")[0].strip())
-        assert len(set(outputs)) == 1
+        assert len(set(outputs)) == 1 and outputs[0] != "0 matches"
 
     def test_no_pattern_usage_error(self, small_dataset):
         assert run(["scan", "--dataset", str(small_dataset)]) == cli.EXIT_USAGE
@@ -194,6 +204,30 @@ class TestFreq:
         rc = run(["freq", "--dataset", str(path), "--m", "8", "--baseline",
                   "--out-dir", str(tmp_path / "r")])
         assert rc == cli.EXIT_ANALYSIS
+
+    def test_m32_significant_iff_bucket_flagged(self, tmp_path):
+        # word 0x682330d7, planted 300 times, makes its fold bucket
+        # 0x6823 ^ 0x30d7 = 0x58f4 heavy; the word 0x000058f4 folds there too
+        blocks = np.random.default_rng(0).integers(0, 1 << 32, (2000, 36), dtype=np.uint32)
+        blocks[:300, 0] = 0x682330D7
+        blocks[300, 0] = 0x000058F4
+        path = tmp_path / "planted.txt"
+        dataset.persist(blocks, dataset.DatasetConfig(n_blocks=2000), path)
+        assert run(["freq", "--dataset", str(path), "--m", "32", "--top", "20",
+                    "--out-dir", str(tmp_path)]) == cli.EXIT_OK
+        table = freq.extract_mgrams(dataset.dataset_bytes(blocks), freq.MGramSpec(32))
+        flagged = {h.pattern for h in freq.scan_significant(table)}
+        rows = read_rows(tmp_path / "freq_m32.csv")
+        for row in rows:
+            bucket = table.cell(int(row["pattern_hex"], 16))
+            assert (row["significant"] == "True") == (bucket in flagged), row
+        significant = {r["pattern_hex"] for r in rows if r["significant"] == "True"}
+        assert {"682330d7", "000058f4"} <= significant < {r["pattern_hex"] for r in rows}
+
+
+def read_rows(path) -> list[dict]:
+    """A CSV's rows, without its config-hash comment line."""
+    return list(csv.DictReader(path.read_text().splitlines()[1:]))
 
 
 def csv_hash(path) -> str:
@@ -371,6 +405,14 @@ class TestReport:
             # the CSVs' first line is "# config_hash=...": the same options
             # and out-dir hash the same, whichever command ran them
             assert (out / name).read_bytes() == from_report[name], name
+
+    def test_diff_options_checked_before_any_step(self, tmp_path, capsys):
+        # trials below 2^10 once failed only after gen and freq had written
+        out = tmp_path / "rep"
+        assert run(["report", "--blocks", "64", "--trials", "100",
+                    "--out-dir", str(out)]) == cli.EXIT_USAGE
+        assert "trials must be >= 2^10" in capsys.readouterr().err
+        assert list(out.glob("*")) == []
 
     def test_stops_at_first_failure(self, tmp_path, monkeypatch):
         monkeypatch.setattr(cli, "cmd_freq", lambda args: cli.EXIT_ANALYSIS)

@@ -105,6 +105,14 @@ class TestConfig:
         with pytest.raises(ValueError):
             DatasetConfig(n_blocks=0)
 
+    @pytest.mark.parametrize("seed", [-1, 1 << 64])
+    def test_seed_outside_64_bits_rejected(self, seed):
+        # such a seed once constructed, and generate_dataset then raised
+        # OverflowError, which is not a ValueError
+        with pytest.raises(ValueError, match="rng_seed"):
+            DatasetConfig(rng_seed=seed)
+        DatasetConfig(rng_seed=(1 << 64) - 1)
+
     def test_as_dict_has_version(self):
         d = DatasetConfig().as_dict()
         assert d["format_version"] == 1

@@ -17,7 +17,6 @@ from keystream_lab.freq import (
     scan_significant,
     top_k,
     z_score,
-    _cell_counts,
 )
 
 
@@ -93,7 +92,7 @@ class TestExtract:
         cells = np.zeros(1 << 16 if m_bits > 8 else 256, dtype=np.int64)
         for v, c in naive.items():
             cells[(v >> 16) ^ (v & 0xFFFF)] += c
-        assert np.array_equal(_cell_counts(table), cells)
+        assert np.array_equal(table.cells, cells)
 
     def test_bad_width_rejected(self):
         with pytest.raises(ValueError):
@@ -122,12 +121,27 @@ class TestZScore:
             z_score(table_of({}, 0, 8), 0)
 
     def test_threshold_alpha_consistency(self):
-        cfg = SignificanceConfig()
-        assert cfg.z_threshold == 4.89
-        with pytest.raises(ValueError):
-            SignificanceConfig(alpha=1e-6, z_threshold=3.0)
-        # a matching pair is accepted
-        SignificanceConfig(alpha=0.05, z_threshold=1.96)
+        # the threshold is derived from alpha and cannot be set apart from it
+        assert SignificanceConfig().z_threshold == pytest.approx(4.8916, abs=5e-5)
+        assert SignificanceConfig(alpha=0.05).z_threshold == pytest.approx(1.96, abs=5e-5)
+        with pytest.raises(TypeError):
+            SignificanceConfig(z_threshold=3.0)
+
+    @pytest.mark.parametrize("m_bits, pattern", [
+        (8, 300), (8, -1), (8, 256), (16, 1 << 16), (32, 1 << 32), (32, -1)])
+    def test_pattern_outside_width_rejected(self, m_bits, pattern):
+        # such patterns once read as a zero count; -1 would index from the end
+        table = table_of({0xFF: 9}, 9, m_bits)
+        with pytest.raises(ValueError, match="not in"):
+            z_score(table, pattern)
+
+    def test_m32_word_scored_in_its_bucket(self):
+        # words 0 .. 2^16 - 1 fill each fold bucket once: z = 0 everywhere,
+        # where a per-word test at q = 2^-32 flags every word
+        table = extract_mgrams(np.arange(1 << 16, dtype="<u4").tobytes(), MGramSpec(32))
+        results = [z_score(table, w) for w in range(1 << 16)]
+        assert not any(r.significant for r in results)
+        assert all(r.z == 0.0 for r in results)
 
 
 class TestChiSquare:
