@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .cipher import ROTATIONS, qrf_vec, rotl32, MASK32, _check_words
 
@@ -111,7 +111,7 @@ def _make_stats(rounds: int, trials: int, full: int, partial: int) -> CollisionS
     p_hat = k / trials
     sigma = math.sqrt(p_hat * (1.0 - p_hat) / trials)
     passes = p_hat < _IDEAL_BOUND + 3.0 * sigma
-    p_upper = 1.0 if k == trials else float(stats.beta.ppf(0.95, k + 1, trials - k))
+    p_upper = 1.0 if k == trials else float(special.betaincinv(k + 1, trials - k, 0.95))
     return CollisionStats(rounds, trials, full, partial, p_hat, sigma, passes, p_upper)
 
 
