@@ -6,8 +6,8 @@ table in :data:`LINE_ORDERS`: ``"native"`` (default) holds the six lines as
 printed in the cipher's description; ``"rfc"`` is the RFC-style ChaCha d/b
 target alternation extended with a 4-bit and a 2-bit line.
 
-:func:`qrf_vec` interprets the tables over uint32 arrays, in place on one
-copy of its inputs; :func:`qrf` is one lane of it, as Python ints.
+:func:`_qrf_lines` interprets the tables in place over uint32 arrays;
+:func:`qrf_vec` runs it on a copy of its inputs, :func:`qrf` on one lane.
 :func:`block_words_batch` runs each round as wavefronts of disjoint quads, one
 gather, quarter round and scatter per wavefront.  :func:`block`,
 :func:`keystream`, :func:`xor_encrypt` and the reference 4x4 ChaCha20 block
@@ -54,25 +54,23 @@ LINE_ORDERS = {
 }
 
 
-def qrf_vec(a, b, c, d, rotations=ROTATIONS, variant="native", word_bits=32):
-    """Extended quarter round over equal-shape uint32 arrays, as one
-    (4, *shape) uint32 array of the output words a, b, c, d.
+def _qrf_lines(words, rotations=ROTATIONS, variant="native", word_bits=32):
+    """Run the extended quarter round in place on ``words``, a (4, *shape)
+    uint32 array of the words a, b, c, d, and return it.
 
-    The inputs are copied once into that array, and the lines of
-    ``LINE_ORDERS[variant]`` run on it in place (ufunc ``out=`` and one
-    scratch buffer), line ``i`` rotating by ``rotations[i]`` (a shorter
-    ``rotations`` runs only that many lines).  Inputs are not modified.
-    ``word_bits`` narrows the words: rotations are reduced mod width and each
-    add and rotate is masked.  uint32 arithmetic wraps at 32 bits by itself,
-    so full width runs unmasked.  Widths other than 32 exist only as
-    verification scaffolding for exhaustive cross-checks at small scale.
+    The lines of ``LINE_ORDERS[variant]`` run through ufunc ``out=`` and one
+    scratch buffer, line ``i`` rotating by ``rotations[i]`` (a shorter
+    ``rotations`` runs only that many lines).  ``word_bits`` narrows the
+    words: rotations are reduced mod width and each add and rotate is masked.
+    uint32 arithmetic wraps at 32 bits by itself, so full width runs
+    unmasked.  Widths other than 32 exist only as verification scaffolding
+    for exhaustive cross-checks at small scale.
     """
     try:
         lines = LINE_ORDERS[variant]
     except KeyError:
         raise ValueError(f"unknown qrf variant: {variant!r}") from None
-    out = np.array((a, b, c, d), dtype=np.uint32)
-    v, tmp = list(out), np.empty_like(out[0])
+    v, tmp = list(words), np.empty_like(words[0])
     mask = np.uint32((1 << word_bits) - 1) if word_bits < 32 else None
     for (t, s, x), r in zip(lines, rotations):
         vt, vx = v[t], v[x]
@@ -87,14 +85,20 @@ def qrf_vec(a, b, c, d, rotations=ROTATIONS, variant="native", word_bits=32):
             np.bitwise_or(vx, tmp, out=vx)
         if mask is not None:
             np.bitwise_and(vx, mask, out=vx)
-    return out
+    return words
+
+
+def qrf_vec(a, b, c, d, rotations=ROTATIONS, variant="native", word_bits=32):
+    """Extended quarter round over equal-shape uint32 arrays: :func:`_qrf_lines`
+    on one (4, *shape) copy of the inputs, which is returned."""
+    return _qrf_lines(np.array((a, b, c, d), dtype=np.uint32), rotations, variant, word_bits)
 
 
 def qrf(quad, rotations=ROTATIONS, variant="native", word_bits=32) -> tuple[int, ...]:
     """Apply one extended quarter round to ``(a, b, c, d)``: one lane of
-    :func:`qrf_vec`, returned as Python ints."""
+    :func:`_qrf_lines`, returned as Python ints."""
     lane = np.array(quad, dtype=np.uint32)[:, None]
-    return tuple(qrf_vec(*lane, rotations, variant, word_bits)[:, 0].tolist())
+    return tuple(_qrf_lines(lane, rotations, variant, word_bits)[:, 0].tolist())
 
 
 def _check_words(name: str, words, expected: int) -> tuple[int, ...]:
@@ -238,7 +242,8 @@ def _run_block(states, rounds, waves, variant, rotations=ROTATIONS):
     w = states.copy()
     for r in range(rounds):
         for idx in waves[r % 2]:
-            w[idx] = qrf_vec(*w[idx], rotations, variant)
+            # take: at B = 1, w[idx] comes back transposed, with strided rows
+            w[idx] = _qrf_lines(w.take(idx, axis=0), rotations, variant)
     return w + states
 
 

@@ -164,22 +164,17 @@ def cmd_diff(args) -> int:
     deltas = diff.default_delta_set()
     if args.include_zero_control:
         deltas = [(0, 0, 0, 0)] + deltas
-    rows = []
-    pooled = {r: [0, 0] for r in cfg.rounds}
-    for delta in deltas:
-        stats = diff.collision_trial_batch(delta, cfg)
-        for r, st in stats.items():
-            pooled[r][0] += st.collisions
-            pooled[r][1] += st.trials
-            rows.append({"delta": "/".join(f"{d:08x}" for d in delta), **st.as_dict()})
+    results = diff.collision_trials(deltas, cfg)
+    rows = [{"delta": "/".join(f"{d:08x}" for d in delta), **st.as_dict()}
+            for delta, stats in zip(deltas, results) for st in stats.values()]
     report.write_csv(outdir / "collision_stats.csv", rows, _run_config(args))
-    rounds_sorted = sorted(cfg.rounds)
-    pooled_p = [pooled[r][0] / pooled[r][1] for r in rounds_sorted]
+    pooled_p = [sum(stats[r].collisions for stats in results) / (len(results) * cfg.trials)
+                for r in cfg.rounds]
     report.write_decay_chart(
-        outdir / "collision_decay.svg", rounds_sorted, pooled_p,
+        outdir / "collision_decay.svg", cfg.rounds, pooled_p,
         "near-collision probability vs rounds",
     )
-    for r, p in zip(rounds_sorted, pooled_p):
+    for r, p in zip(cfg.rounds, pooled_p):
         print(f"rounds={r} pooled_p_hat={p:.3e}")
     return EXIT_OK
 

@@ -7,9 +7,9 @@ can never be exactly zero; the headline collision metric is therefore the
 near-collision rate: output difference weight at most ``partial_threshold_bits``
 (weight zero, only reachable with delta = 0, is tracked separately).
 
-Every paired evaluation (collision trials, avalanche, the sweep's diffusion
-half and the propagation track) runs through one kernel, ``_paired_rounds``:
-two (4, n) uint32 arrays x and x' go through ``qrf_vec`` round by round and
+Every paired evaluation (collision trials, avalanche and the sweep's
+diffusion half) runs through one kernel, ``_paired_rounds``: x and one
+x' = x xor delta per delta run in place, ``_LANES`` lanes at a time, and
 y xor y' is read off after each reported round.
 """
 
@@ -21,25 +21,33 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .cipher import ROTATIONS, qrf_vec, rotl32, MASK32, _check_words
+from .cipher import ROTATIONS, _qrf_lines, rotl32, MASK32, _check_words
 
 _IDEAL_BOUND = 2.0 ** -32
-_BATCH = 1 << 20    # trials per kernel call; fixed, as the rng draw order depends on it
-_AVALANCHE_LANES = 1 << 15    # lanes per avalanche kernel call (at least one row)
+_BATCH = 1 << 20    # trials per rng draw; fixed, as the rng draw order depends on it
+# lanes per kernel chunk, and per avalanche row group; measured on the default
+# diff: 2^13 takes 25 % longer, 2^15 10 % less but peaks 2.5 MiB higher
+_LANES = 1 << 14
 _BYTE_BITS = (np.arange(256)[:, None] >> np.arange(8)) & 1    # [v, b]: bit b of byte v
 
 
-def _paired_rounds(x, xp, report, rotations=ROTATIONS, variant="native", word_bits=32):
-    """Run the (4, n) uint32 arrays x and xp through ``max(report)`` quarter
-    rounds; after each round r in ``report`` (0 included) yield (r, y ^ y')
-    as one (4, n) array."""
-    y, yp = x, xp
-    for r in range(max(report) + 1):
-        if r:
-            y = qrf_vec(*y, rotations=rotations, variant=variant, word_bits=word_bits)
-            yp = qrf_vec(*yp, rotations=rotations, variant=variant, word_bits=word_bits)
-        if r in report:
-            yield r, y ^ yp
+def _paired_rounds(x, deltas, report, rotations=ROTATIONS, variant="native", word_bits=32):
+    """Run the (4, ..., n) uint32 array x, overwritten with y, and x xor d
+    for each d of ``deltas`` (arrays that broadcast to x) through
+    ``max(report)`` quarter rounds, ``_LANES`` lanes of the last axis at a
+    time.  After each round r in ``report`` (0 included), yield (r, lanes,
+    ds): ds yields y xor y' over ``lanes`` for each delta in turn."""
+    deltas = [np.broadcast_to(d, x.shape) for d in deltas]
+    for start in range(0, x.shape[-1], _LANES):
+        lanes = slice(start, start + _LANES)
+        y = x[..., lanes]
+        yps = [y ^ d[..., lanes] for d in deltas]
+        for r in range(max(report) + 1):
+            if r:
+                for v in (y, *yps):
+                    _qrf_lines(v, rotations, variant, word_bits)
+            if r in report:
+                yield r, lanes, (y ^ yp for yp in yps)
 
 
 def seed_delta(pattern_words, k: int) -> tuple[int, ...]:
@@ -115,42 +123,50 @@ def _make_stats(rounds: int, trials: int, full: int, partial: int) -> CollisionS
     return CollisionStats(rounds, trials, full, partial, p_hat, sigma, passes, p_upper)
 
 
-def collision_trial_batch(
-    delta,
-    cfg: TrialConfig,
-    rotations=ROTATIONS,
-    word_bits: int = 32,
-) -> dict[int, CollisionStats]:
-    """Per-round collision statistics for one input difference.
+def collision_trials(deltas, cfg: TrialConfig, rotations=ROTATIONS,
+                     word_bits: int = 32) -> list[dict[int, CollisionStats]]:
+    """Per-round collision statistics for each input difference in
+    ``deltas``, in order.
 
-    ``delta`` holds 4 words (one quad) or 8 (two quads evaluated jointly,
-    with the difference weight summed over both).  Fully reproducible from
-    ``cfg.rng_seed``.
+    A delta holds 4 words (one quad) or 8 (two quads evaluated jointly, with
+    the difference weight summed over both).  Each delta's trials are drawn
+    from ``cfg.rng_seed`` as if it ran alone, so the deltas of one width
+    share x and its trajectory.
     """
-    delta = tuple(int(d) for d in delta)
-    if len(delta) not in (4, 8):
-        raise ValueError("delta must hold 4 or 8 words")
-    if any(not 0 <= d < 1 << word_bits for d in delta):
-        raise ValueError(f"delta words must be in [0, 2^{word_bits})")
-    n_quads = len(delta) // 4
-    # dq[i, q, 0] is word i of quad q's difference
-    dq = np.array(delta, dtype=np.uint32).reshape(n_quads, 4).T[:, :, None]
-    thr = cfg.partial_threshold_bits
-    rng = np.random.default_rng(cfg.rng_seed)
-    full = dict.fromkeys(cfg.rounds, 0)
-    partial = dict.fromkeys(cfg.rounds, 0)
-    for start in range(0, cfg.trials, _BATCH):
-        n = min(_BATCH, cfg.trials - start)
-        # quads side by side: lanes q * n .. (q + 1) * n - 1 hold quad q of each trial
-        x = np.hstack(rng.integers(0, 1 << word_bits, (n_quads, 4, n), dtype=np.uint32))
-        xp = (x.reshape(4, n_quads, n) ^ dq).reshape(4, -1)
-        for r, d in _paired_rounds(x, xp, cfg.rounds, rotations, word_bits=word_bits):
-            hw = np.bitwise_count(d).reshape(4, n_quads, n).sum(axis=(0, 1), dtype=np.uint16)
-            full[r] += int(np.count_nonzero(hw == 0))
-            partial[r] += int(np.count_nonzero((hw > 0) & (hw <= thr)))
-    return {
-        r: _make_stats(r, cfg.trials, full[r], partial[r]) for r in cfg.rounds
-    }
+    deltas = [tuple(int(d) for d in delta) for delta in deltas]
+    for delta in deltas:
+        if len(delta) not in (4, 8):
+            raise ValueError("delta must hold 4 or 8 words")
+        if any(not 0 <= d < 1 << word_bits for d in delta):
+            raise ValueError(f"delta words must be in [0, 2^{word_bits})")
+    # [k, r]: trials of delta k whose weight after r rounds is 0, and <= threshold
+    full = np.zeros((len(deltas), max(cfg.rounds) + 1), dtype=np.int64)
+    near = np.zeros_like(full)
+    for n_quads in (1, 2):
+        group = [k for k, delta in enumerate(deltas) if len(delta) == 4 * n_quads]
+        # dqs[j][i, q, 0] is word i of quad q of the group's j-th difference
+        dqs = [np.array(deltas[k], dtype=np.uint32).reshape(n_quads, 4).T[:, :, None]
+               for k in group]
+        rng = np.random.default_rng(cfg.rng_seed)
+        for start in range(0, cfg.trials if group else 0, _BATCH):
+            n = min(_BATCH, cfg.trials - start)
+            # x[i, q, t] is word i of quad q of trial t
+            x = rng.integers(0, 1 << word_bits, (n_quads, 4, n), dtype=np.uint32)
+            for r, _, ds in _paired_rounds(x.transpose(1, 0, 2), dqs, cfg.rounds,
+                                           rotations, word_bits=word_bits):
+                for k, d in zip(group, ds):
+                    hw = np.bitwise_count(d).sum(axis=(0, 1), dtype=np.uint16)
+                    full[k, r] += np.count_nonzero(hw == 0)
+                    near[k, r] += np.count_nonzero(hw <= cfg.partial_threshold_bits)
+    return [{r: _make_stats(r, cfg.trials, int(f[r]), int(m[r] - f[r])) for r in cfg.rounds}
+            for f, m in zip(full, near)]
+
+
+def collision_trial_batch(delta, cfg: TrialConfig, rotations=ROTATIONS,
+                          word_bits: int = 32) -> dict[int, CollisionStats]:
+    """Per-round collision statistics for one input difference: the
+    one-delta case of :func:`collision_trials`."""
+    return collision_trials([delta], cfg, rotations, word_bits)[0]
 
 
 def default_delta_set(seed_patterns=None) -> list[tuple[int, ...]]:
@@ -172,25 +188,6 @@ def default_delta_set(seed_patterns=None) -> list[tuple[int, ...]]:
     for p in seed_patterns or []:
         deltas.append(seed_delta((0, 0, p, p), 5))
     return deltas
-
-
-def propagation_track(
-    delta,
-    x_quad: tuple[int, int, int, int],
-    max_rounds: int,
-) -> list[tuple[int, int, int, int]]:
-    """Per-round output differences for one paired evaluation.
-
-    The round-r entry is y_r xor y'_r where y follows x and y' follows
-    x xor delta (the paired-evaluation reading of difference propagation;
-    the quarter round itself is not linear over differences).
-    """
-    if max_rounds < 1:
-        raise ValueError("max_rounds must be >= 1")
-    x = np.array(_check_words("x_quad", x_quad, 4), dtype=np.uint32)[:, None]
-    xp = x ^ np.array(_check_words("delta", delta, 4), dtype=np.uint32)[:, None]
-    return [tuple(int(w) for w in d[:, 0]) for _, d in _paired_rounds(
-        x, xp, range(1, max_rounds + 1))]
 
 
 @dataclass
@@ -229,7 +226,7 @@ def avalanche_profile(
     evaluated with and without that bit flipped and output bit flips are
     counted.  rounds=0 is the identity map (exact indicator profile).
 
-    Rows run in chunks of ``max(1, 2**15 // trials)``, side by side as one
+    Rows run in chunks of ``max(1, _LANES // trials)``, side by side as one
     (4, rows * trials) lane array through the kernel.  A chunk's one
     (rows, 4, trials) draw is the same rng stream as a (4, trials) draw per
     row.  Flips are counted exactly: per output byte lane, one
@@ -242,17 +239,19 @@ def avalanche_profile(
         raise ValueError("rounds must be >= 0")
     rng = np.random.default_rng(rng_seed)
     counts = np.empty((128, 128), dtype=np.int64)
-    step = max(1, _AVALANCHE_LANES // trials)
+    step = max(1, _LANES // trials)
     for start in range(0, 128, step):
         rows = np.arange(start, min(start + step, 128))
         k = len(rows)
         # lane i * trials + t is trial t of row rows[i]
         x = rng.integers(0, 1 << 32, (k, 4, trials), dtype=np.uint32)
         x = x.transpose(1, 0, 2).reshape(4, k * trials)
-        xp = x.copy()
-        flips = np.uint32(1) << (rows % 32).astype(np.uint32)
-        xp.reshape(4, k, trials)[rows // 32, np.arange(k)] ^= flips[:, None]
-        _, d = next(_paired_rounds(x, xp, (rounds,), rotations, qrf_variant))
+        flip = np.zeros((4, k * trials), dtype=np.uint32)    # C order; x may be strided
+        d = np.empty_like(flip)
+        flip.reshape(4, k, trials)[rows // 32, np.arange(k)] = \
+            np.uint32(1) << (rows % 32).astype(np.uint32)[:, None]
+        for _, lanes, (dl,) in _paired_rounds(x, [flip], (rounds,), rotations, qrf_variant):
+            d[:, lanes] = dl
         # byte j of word w holds output bits 32 * w + 8 * j .. + 7
         octets = d.astype("<u4", copy=False).view(np.uint8).reshape(4, k * trials, 4)
         offset = np.repeat(np.arange(k) * 256, trials)
@@ -302,9 +301,10 @@ def rotation_sweep(constant_sets, cfg: TrialConfig) -> list[SweepResult]:
         x = rng.integers(0, 1 << 32, (4, n), dtype=np.uint32)
         word = rng.integers(0, 4, n)
         bit = rng.integers(0, 32, n, dtype=np.uint32)
-        xp = x ^ np.where(word == np.arange(4)[:, None], np.uint32(1) << bit, np.uint32(0))
-        _, d = next(_paired_rounds(x, xp, (max_round,), rotations))
-        hw = np.bitwise_count(d).sum(axis=0, dtype=np.int64)
+        flip = np.where(word == np.arange(4)[:, None], np.uint32(1) << bit, np.uint32(0))
+        hw = np.empty(n, dtype=np.int64)
+        for _, lanes, (d,) in _paired_rounds(x, [flip], (max_round,), rotations):
+            hw[lanes] = np.bitwise_count(d).sum(axis=0, dtype=np.int64)
         mean = float(hw.mean())
         se = float(hw.std(ddof=1) / math.sqrt(n))
         results.append(SweepResult(rotations, collision, mean, se))

@@ -230,3 +230,26 @@ def hybrid_reference(t, p, wlen):
                     positions.append(s)
             s += jump.get(last_sym, m)
     return positions, comparisons, windows
+
+
+def collision_reference(delta, cfg, qrf_vec, batch, word_bits=32):
+    """The one-delta collision loop: per batch of ``batch`` trials one
+    (quads, 4, n) draw, each quad of both sides through ``rounds``
+    applications of ``qrf_vec``, and the weight of y xor y' summed over the
+    quads.  Returns {round: (full, partial)} for ``cfg.rounds``."""
+    n_quads = len(delta) // 4
+    dq = np.array(delta, dtype=np.uint32).reshape(n_quads, 4, 1)
+    rng = np.random.default_rng(cfg.rng_seed)
+    counts = {r: [0, 0] for r in cfg.rounds}
+    for start in range(0, cfg.trials, batch):
+        n = min(batch, cfg.trials - start)
+        x = rng.integers(0, 1 << word_bits, (n_quads, 4, n), dtype=np.uint32)
+        y, yp = list(x), list(x ^ dq)
+        for r in range(1, max(cfg.rounds) + 1):
+            y = [qrf_vec(*q, word_bits=word_bits) for q in y]
+            yp = [qrf_vec(*q, word_bits=word_bits) for q in yp]
+            if r in cfg.rounds:
+                hw = sum(np.bitwise_count(a ^ b).sum(axis=0) for a, b in zip(y, yp))
+                counts[r][0] += int(np.count_nonzero(hw == 0))
+                counts[r][1] += int(np.count_nonzero((hw > 0) & (hw <= cfg.partial_threshold_bits)))
+    return {r: tuple(c) for r, c in counts.items()}

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -6,21 +7,22 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from keystream_lab import cli, diff
 from keystream_lab.cipher import ROTATIONS, qrf_vec
 from keystream_lab.diff import (
     AdvantageEstimate,
     TrialConfig,
     avalanche_profile,
     collision_trial_batch,
+    collision_trials,
     default_delta_set,
     distinguisher_advantage,
-    propagation_track,
     rotation_sweep,
     seed_delta,
     wilson_interval,
 )
 
-from helpers import avalanche_reference, qrf_forward, qrf_small
+from helpers import avalanche_reference, collision_reference, qrf_forward, qrf_small
 
 
 class TestSeedDelta:
@@ -166,33 +168,105 @@ class TestCollisionTrials:
         assert all(len(d) == 4 for d in deltas)
 
 
-class TestPropagation:
-    def test_matches_paired_evaluation(self):
+class TestKernel:
+    def test_matches_paired_evaluation(self, monkeypatch):
+        # 20 lanes in chunks of 8, 8 and 4; two per-lane deltas served per x
+        monkeypatch.setattr(diff, "_LANES", 8)
         rng = random.Random(4)
-        for _ in range(20):
-            x = tuple(rng.getrandbits(32) for _ in range(4))
-            delta = tuple(rng.getrandbits(32) for _ in range(4))
-            track = propagation_track(delta, x, 3)
-            y = x
-            yp = tuple(a ^ d for a, d in zip(x, delta))
-            for r in range(3):
-                y = qrf_forward(*y)
-                yp = qrf_forward(*yp)
-                assert track[r] == tuple(a ^ b for a, b in zip(y, yp))
+        xs = [tuple(rng.getrandbits(32) for _ in range(4)) for _ in range(20)]
+        deltas = [[tuple(rng.getrandbits(32) for _ in range(4)) for _ in xs]
+                  for _ in range(2)]
+        x = np.array(xs, dtype=np.uint32).T.copy()
+        darrays = [np.array(ds, dtype=np.uint32).T for ds in deltas]
+        expect = {}     # (round, lane, delta index) -> y xor y'
+        for t, quad in enumerate(xs):
+            for k, ds in enumerate(deltas):
+                y, yp = quad, tuple(a ^ d for a, d in zip(quad, ds[t]))
+                for r in range(1, 4):
+                    y, yp = qrf_forward(*y), qrf_forward(*yp)
+                    expect[r, t, k] = tuple(a ^ b for a, b in zip(y, yp))
+        seen = set()
+        for r, lanes, ds in diff._paired_rounds(x, darrays, (1, 2, 3)):
+            for k, d in enumerate(ds):
+                for t, col in zip(range(20)[lanes], d.T):
+                    assert tuple(col.tolist()) == expect[r, t, k]
+                    seen.add((r, t, k))
+        assert seen == set(expect)
+        # x ends as y after the last round
+        assert [tuple(col.tolist()) for col in x.T] == [
+            qrf_forward(*qrf_forward(*qrf_forward(*q))) for q in xs]
 
-    def test_round_count_validated(self):
-        with pytest.raises(ValueError):
-            propagation_track((1, 0, 0, 0), (0, 0, 0, 0), 0)
+    def test_six_deltas_run_seven_trajectories(self, monkeypatch, tmp_path):
+        """A 6-delta diff runs one shared y and six y' per round and lane
+        chunk (not a y per delta), and no call exceeds the chunk."""
+        monkeypatch.setattr(diff, "_LANES", 1024)
+        calls, qrf_lines = [], diff._qrf_lines
 
-    @pytest.mark.parametrize("delta, x", [
-        ((1, 0, 0, 0, 9, 9, 9, 9), (0, 0, 0, 0)),
-        ((1, 0, 0), (0, 0, 0, 0)),
-        ((1, 0, 0, 0), (0, 0, 0)),
-        ((1, 0, 0, 0), (0, 0, 0, 0, 0)),
-    ])
-    def test_word_counts_validated(self, delta, x):
-        with pytest.raises(ValueError):
-            propagation_track(delta, x, 1)
+        def counted(words, *args, **kwargs):
+            calls.append(words.shape[-1])
+            return qrf_lines(words, *args, **kwargs)
+
+        monkeypatch.setattr(diff, "_qrf_lines", counted)
+        argv = ["diff", "--trials", "4096", "--rounds", "1", "2", "--seed", "3",
+                "--out-dir", str(tmp_path)]
+        assert cli.main(argv) == 0
+        assert len(calls) == 7 * 2 * 4
+        assert set(calls) == {1024}
+        calls.clear()
+        assert cli.main(argv + ["--include-zero-control"]) == 0
+        assert len(calls) == 8 * 2 * 4
+
+
+class TestSharedTrajectory:
+    """``collision_trials`` equals one ``collision_trial_batch`` per delta,
+    and both equal the per-delta reference loop."""
+
+    @staticmethod
+    def check(deltas, cfg, word_bits=32, batch=1 << 20):
+        shared = collision_trials(deltas, cfg, word_bits=word_bits)
+        one_by_one = [collision_trial_batch(d, cfg, word_bits=word_bits) for d in deltas]
+        assert [{r: s.as_dict() for r, s in stats.items()} for stats in shared] == \
+               [{r: s.as_dict() for r, s in stats.items()} for stats in one_by_one]
+        for delta, stats in zip(deltas, shared):
+            assert {r: (s.full_collisions, s.partial_collisions) for r, s in stats.items()} \
+                == collision_reference(delta, cfg, qrf_vec, batch, word_bits)
+
+    def test_default_deltas_with_zero_control(self):
+        cfg = TrialConfig(trials=1 << 12, rounds=(1, 2, 4, 8), rng_seed=11)
+        self.check([(0, 0, 0, 0)] + default_delta_set(), cfg)
+
+    def test_mixed_widths(self):
+        cfg = TrialConfig(trials=1 << 12, rounds=(1, 2), rng_seed=5)
+        self.check([(0, 0, 0, 1), (0,) * 7 + (1,), (0, 0, 0x80000000, 0),
+                    (1, 0, 0, 0, 0, 0, 0, 0x80000000)], cfg)
+
+    def test_four_bit_words(self):
+        cfg = TrialConfig(trials=1 << 12, rounds=(1, 2), partial_threshold_bits=2,
+                          rng_seed=6)
+        self.check([(0, 0, 0, 8), (0, 0, 1, 0), (0,) * 7 + (1,)], cfg, word_bits=4)
+
+    @pytest.mark.parametrize("trials, lanes", [((1 << 14) + 1000, 1 << 14), (4099, 1000)])
+    def test_trials_not_a_multiple_of_the_chunk(self, monkeypatch, trials, lanes):
+        monkeypatch.setattr(diff, "_LANES", lanes)
+        cfg = TrialConfig(trials=trials, rounds=(1, 2), rng_seed=7)
+        self.check([(0, 0, 0, 1), (0, 0, 0x80000000, 0), (0,) * 7 + (1,)], cfg)
+
+    def test_across_batches(self, monkeypatch):
+        # batches of 1500, 1500 and 1099 trials, each in chunks of 512 lanes
+        monkeypatch.setattr(diff, "_BATCH", 1500)
+        monkeypatch.setattr(diff, "_LANES", 512)
+        cfg = TrialConfig(trials=4099, rounds=(1, 2), rng_seed=8)
+        self.check([(0, 0, 0, 1), (0, 0, 0x80000000, 0), (0,) * 7 + (1,)], cfg,
+                   batch=1500)
+
+    def test_frozen_diff_output(self, monkeypatch, tmp_path):
+        # sha256 of the file written before the deltas shared one trajectory
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["diff", "--trials", "4096", "--rounds", "1", "2", "4", "8",
+                         "--seed", "11", "--out-dir", "out"]) == 0
+        digest = hashlib.sha256((tmp_path / "out" / "collision_stats.csv").read_bytes())
+        assert digest.hexdigest() == \
+            "91f79d5d5b2bbba96d0e534a7edbac9d980027f27230fb420f4de67333434ed1"
 
 
 class TestAvalanche:
@@ -229,9 +303,9 @@ class TestAvalanche:
         # value computed before the paired-evaluation kernel was shared
         assert avalanche_profile(1, 64, rng_seed=2).matrix.sum() == 2603.796875
 
-    # trials 1 and 7 run all 128 rows in one chunk, 300 and 5000 end on a
-    # partial chunk, 2^14 - 1 runs two rows per chunk, and from 2^15 - 1 on
-    # each chunk is one row
+    # trials 1 and 7 run all 128 rows in one group, 300 and 5000 end on a
+    # partial group, from 2^14 - 1 on each group is one row, and from
+    # 2^15 - 1 on a row spans several kernel chunks
     @settings(max_examples=6, deadline=None)
     @given(rounds=st.integers(0, 3),
            trials=st.sampled_from([1, 7, 300, 5000, (1 << 14) - 1]),
