@@ -139,11 +139,13 @@ def collision_trials(deltas, cfg: TrialConfig, rotations=ROTATIONS,
             raise ValueError("delta must hold 4 or 8 words")
         if any(not 0 <= d < 1 << word_bits for d in delta):
             raise ValueError(f"delta words must be in [0, 2^{word_bits})")
-    # [k, r]: trials of delta k whose weight after r rounds is 0, and <= threshold
+    # [k, r]: trials of delta k whose weight after r rounds is 0, and <= threshold;
+    # an all-zero delta has y' = y, weight 0 in every trial, and runs no trajectory
     full = np.zeros((len(deltas), max(cfg.rounds) + 1), dtype=np.int64)
-    near = np.zeros_like(full)
+    full[[not any(delta) for delta in deltas]] = cfg.trials
+    near = full.copy()
     for n_quads in (1, 2):
-        group = [k for k, delta in enumerate(deltas) if len(delta) == 4 * n_quads]
+        group = [k for k, delta in enumerate(deltas) if len(delta) == 4 * n_quads and any(delta)]
         # dqs[j][i, q, 0] is word i of quad q of the group's j-th difference
         dqs = [np.array(deltas[k], dtype=np.uint32).reshape(n_quads, 4).T[:, :, None]
                for k in group]

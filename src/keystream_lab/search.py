@@ -9,43 +9,83 @@ alphabet tag: ``"byte"`` (8-bit symbols) or ``"word"`` (32-bit symbols); all
 engines compare symbols as whole units.
 
 Every report counts symbol comparisons exactly as the textbook loops make
-them.  Brute force (at each shift's first symbol) and KMP (whenever nothing
-is matched) hand their scans for ``p[0]`` to ``tuple.index``, which makes the
-same equality tests in C; each symbol it passes over counts as one
-comparison and the equal symbol it stops at as one more.  Boyer-Moore and
-the hybrid have no such scan and run in Python throughout.
+them.  Where a loop would make a run of equal steps, each one failed
+comparison, the engine jumps over the run through a landing index
+(:func:`_landings`) that numpy builds from the stream's array: the positions
+whose symbol can end the run.  Brute force and KMP compare shift after shift,
+or symbol after symbol, with ``p[0]`` until one is equal; their landings are
+the positions of ``p[0]``.  Boyer-Moore and the hybrid shift by the pattern
+length past each symbol the pattern does not contain; their landings are the
+positions of the pattern's symbols, and a jump stays in its residue class
+modulo that shift.  Each skipped shift counts one comparison, and the landing
+a jump stops at counts one more.
 """
 
 from __future__ import annotations
 
 import math
 import struct
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import partial
+
+import numpy as np
 
 SYMBOL_BITS = {"byte": 8, "word": 32}
+_DTYPES = {"byte": np.dtype(np.uint8), "word": np.dtype("<u4")}
+_BLOCK = 1 << 16    # symbols per membership mask, windows per first-jump query: bounds memory
+
+
+def _symbol_array(symbols: tuple, alphabet: str) -> np.ndarray:
+    """``symbols`` as a read-only array of the alphabet's dtype.  Raises
+    ValueError for an unknown alphabet, or for a symbol that is not an
+    integer in [0, 2^bits)."""
+    if alphabet not in SYMBOL_BITS:
+        raise ValueError(f"unknown alphabet {alphabet!r}")
+    bits = SYMBOL_BITS[alphabet]
+    values = np.array(symbols)
+    if values.ndim != 1 or values.size and (
+            values.dtype.kind not in "iu" or values.min() < 0 or values.max() >> bits):
+        raise ValueError(f"{alphabet} symbols must be integers in [0, 2^{bits})")
+    array = values.astype(_DTYPES[alphabet])
+    array.flags.writeable = False
+    return array
 
 
 @dataclass(frozen=True)
 class SymbolStream:
+    """A text: ``symbols`` as a tuple of ints, and ``array``, the same
+    symbols as a read-only uint8 or little-endian uint32 array."""
+
     symbols: tuple
     alphabet: str = "byte"
+    array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.alphabet not in SYMBOL_BITS:
-            raise ValueError(f"unknown alphabet {self.alphabet!r}")
         object.__setattr__(self, "symbols", tuple(self.symbols))
+        object.__setattr__(self, "array", _symbol_array(self.symbols, self.alphabet))
 
     def __len__(self):
         return len(self.symbols)
 
     @classmethod
     def from_bytes(cls, data: bytes, alphabet: str = "byte") -> "SymbolStream":
-        if alphabet == "byte":
-            return cls(tuple(data), "byte")
-        if len(data) % 4:
+        """The bytes, or little-endian 32-bit words, of ``data``; the array
+        is a view of the bytes, not a copy."""
+        if alphabet not in SYMBOL_BITS:
+            raise ValueError(f"unknown alphabet {alphabet!r}")
+        data = bytes(data)
+        if alphabet == "word" and len(data) % 4:
             raise ValueError(f"{len(data)} bytes are not a whole number of "
                              "32-bit words")
-        return cls(struct.unpack(f"<{len(data) // 4}I", data), "word")
+        array = np.frombuffer(data, _DTYPES[alphabet])
+        symbols = tuple(data) if alphabet == "byte" else struct.unpack(f"<{len(array)}I", data)
+        # every symbol read from bytes is in range: skip the constructor's
+        # conversion, which would copy the array
+        stream = object.__new__(cls)
+        for name, value in (("symbols", symbols), ("alphabet", alphabet), ("array", array)):
+            object.__setattr__(stream, name, value)
+        return stream
 
 
 @dataclass(frozen=True)
@@ -58,6 +98,7 @@ class WordPattern:
         object.__setattr__(self, "symbols", tuple(self.symbols))
         if len(self.symbols) < 1:
             raise ValueError("empty pattern")
+        _symbol_array(self.symbols, self.alphabet)
         if not self.pattern_id:
             object.__setattr__(self, "pattern_id", "-".join(f"{s:x}" for s in self.symbols))
 
@@ -85,24 +126,55 @@ def _check_alphabets(text: SymbolStream, pattern: WordPattern) -> None:
         )
 
 
+# --- landing index ---------------------------------------------------------
+
+def _landings(text: SymbolStream, symbols, stride: int) -> memoryview:
+    """The landing index of ``text`` for ``symbols``: each position i whose
+    symbol is in ``symbols``, as the key (i mod stride) * n + i.  The keys
+    are sorted, so the landings of one residue class are consecutive and in
+    order (:func:`_next_landing`), and end with the sentinel stride * n.
+    They are an int64 array behind a memoryview, which ``bisect`` searches
+    without a list of Python ints."""
+    a, n = text.array, len(text)
+    wanted = np.fromiter(symbols, a.dtype)
+    if text.alphabet == "byte":
+        lut = np.zeros(256, dtype=bool)
+        lut[wanted] = True
+        member = lut.__getitem__
+    else:
+        member = partial(np.isin, test_elements=wanted)
+    keys = [np.array([stride * n])]
+    for lo in range(0, n, _BLOCK):
+        pos = lo + np.flatnonzero(member(a[lo: lo + _BLOCK]))
+        keys.append(pos % stride * n + pos)
+    keys = np.concatenate(keys)
+    keys.sort()
+    return memoryview(keys)
+
+
+def _next_landing(keys: memoryview, n: int, stride: int, i: int, end: int) -> int:
+    """The first landing at or after position i in its residue class mod
+    ``stride`` if it lies before ``end`` (at most n), else the first
+    position of that class at or after ``end``; a jump from i to it skips
+    (result - i) // stride shifts."""
+    base = i % stride * n
+    landing = keys[bisect_left(keys, base + i)] - base
+    return landing if landing < end else end + (i - end) % stride
+
+
 def brute_force_search(text: SymbolStream, pattern: WordPattern) -> MatchReport:
     """O(n*m) exhaustive scan; ground truth for the other engines."""
     _check_alphabets(text, pattern)
     t, p = text.symbols, pattern.symbols
     n, m = len(t), len(p)
-    first, find = p[0], t.index
-    positions, comparisons = [], 0
-    s, stop = 0, n - m + 1
-    while s < stop:
-        # the first comparison at each shift is t[s] == p[0]: tuple.index
-        # makes them up to the next equal symbol
-        try:
-            hit = find(first, s, stop)
-        except ValueError:
-            comparisons += stop - s
+    stop = n - m + 1
+    # every shift makes its first comparison, t[s] == p[0]; only the
+    # landings, where it is equal, go on to compare p[1:]
+    positions, comparisons = [], max(stop, 0)
+    for s in _landings(text, (p[0],), 1):
+        if s >= stop:
             break
-        comparisons += hit - s + 1
-        s, j = hit, 1
+        j = 1
         while j < m:
             comparisons += 1
             if t[s + j] != p[j]:
@@ -110,7 +182,6 @@ def brute_force_search(text: SymbolStream, pattern: WordPattern) -> MatchReport:
             j += 1
         if j == m:
             positions.append(s)
-        s += 1
     return MatchReport(pattern.pattern_id, "brute", positions, comparisons)
 
 
@@ -141,19 +212,20 @@ def kmp_search(text: SymbolStream, pattern: WordPattern) -> MatchReport:
     _check_alphabets(text, pattern)
     t, p, pi = text.symbols, pattern.symbols, kmp_preprocess(pattern)
     n, m = len(t), len(p)
-    first, find = p[0], t.index
+    landings = _landings(text, (p[0],), 1)
     positions, comparisons = [], 0
-    i = j = 0
+    i = j = k = 0
     while i < n:
         if j == 0:
             # with nothing matched, t[i], t[i+1], ... are compared with p[0]
-            # until one is equal: tuple.index makes those comparisons
-            try:
-                hit = find(first, i)
-            except ValueError:
-                comparisons += n - i
+            # until one is equal, at the next landing (n if there is none)
+            while landings[k] < i:
+                k += 1
+            hit = landings[k]
+            comparisons += hit - i
+            if hit == n:
                 break
-            comparisons += hit - i + 1
+            comparisons += 1
             i, j = hit, 1
         else:
             # each comparison either matches (advances i) or ends the inner
@@ -216,16 +288,26 @@ def bm_search(text: SymbolStream, pattern: WordPattern) -> MatchReport:
     n, m = len(t), len(p)
     full_shift, last_get, tail = gs[m], last.get, m - 1
     p_tail = p[tail]
-    # the shift after a mismatch at the last pattern symbol, per text symbol
-    tail_get = {c: max(gs[0], m - 1 - last[c], 1) for c in last}.get
+    # the shift after a mismatch at the last pattern symbol, per pattern
+    # symbol; past any other symbol it is always absent_shift, so the walk
+    # jumps from one position of a pattern symbol to the next
+    tail_shift = {c: max(gs[0], m - 1 - last[c], 1) for c in last}
     absent_shift = max(gs[0], m)
+    landings = _landings(text, last, absent_shift)
     positions, comparisons = [], 0
     s, stop = 0, n - m
     while s <= stop:
+        i = s + tail
+        symbol = t[i]
+        if symbol not in tail_shift:
+            landing = _next_landing(landings, n, absent_shift, i, n)
+            comparisons += (landing - i) // absent_shift
+            if landing >= n:
+                break
+            s, symbol = landing - tail, t[landing]
         comparisons += 1
-        symbol = t[s + tail]
         if symbol != p_tail:
-            s += tail_get(symbol, absent_shift)
+            s += tail_shift[symbol]
             continue
         j = tail - 1
         while j >= 0:
@@ -257,6 +339,57 @@ class HybridConfig:
         return self.window_bits // bits
 
 
+def _hybrid_scan(text: SymbolStream, pattern: WordPattern, wlen: int) -> MatchReport:
+    """One pattern's windowed scan, with windows of ``wlen`` symbols."""
+    t, p = text.symbols, pattern.symbols
+    n, m = len(t), len(p)
+    # Horspool-style shifts: from the rightmost place among the first m-1
+    # symbols, else m; the landings are the positions of the pattern's
+    # symbols, where the shift is not m or a candidate is verified
+    jump = dict.fromkeys(p, m)
+    for idx in range(m - 1):
+        jump[p[idx]] = m - 1 - idx
+    p_tail, tail = p[m - 1], m - 1
+    landings = _landings(text, jump, m)
+    keys = np.asarray(landings)
+    positions, comparisons = [], 0
+    n_windows = max(0, math.ceil((n - m + 1) / wlen)) if n >= m else 0
+    for w in range(0, n_windows, _BLOCK):
+        # each window walks the last-symbol positions i of its shifts, from
+        # its start to its end (exclusive), by jumps of m between landings;
+        # the first jumps (_next_landing) of a block of windows at once
+        start = np.arange(w, min(w + _BLOCK, n_windows)) * wlen + tail
+        end = np.minimum(start + wlen, n)
+        base = start % m * n
+        first = keys[np.searchsorted(keys, base + start)] - base
+        first = np.where(first < end, first, end + (start - end) % m)
+        comparisons += int(((first - start) // m).sum())
+        walk = first < end
+        for i, stop in zip(first[walk].tolist(), end[walk].tolist()):
+            while True:     # i is a landing before stop
+                symbol = t[i]
+                comparisons += 1
+                if symbol == p_tail:
+                    s, j = i - tail, 0
+                    while j < tail:
+                        comparisons += 1
+                        if t[s + j] != p[j]:
+                            break
+                        j += 1
+                    if j == tail:
+                        positions.append(s)
+                i += jump[symbol]
+                if i >= stop:
+                    break
+                if t[i] not in jump:
+                    landing = _next_landing(landings, n, m, i, stop)
+                    comparisons += (landing - i) // m
+                    if landing >= stop:
+                        break
+                    i = landing
+    return MatchReport(pattern.pattern_id, "hybrid", positions, comparisons, n_windows)
+
+
 def hybrid_search(
     text: SymbolStream,
     patterns: list[WordPattern],
@@ -281,42 +414,15 @@ def hybrid_search(
         raise ValueError(
             f"window of {wlen} symbols is smaller than longest pattern ({longest})"
         )
-    t = text.symbols
-    n = len(t)
+    n = len(text)
     reports: dict[str, MatchReport] = {}
     flagged: set[str] = set()
     for pattern in patterns:
-        p = pattern.symbols
-        m = len(p)
-        # Horspool-style last-occurrence table over the first m-1 symbols
-        jump = {}
-        for idx in range(m - 1):
-            jump[p[idx]] = m - 1 - idx
-        jump_get, p_tail, tail = jump.get, p[m - 1], m - 1
-        positions, comparisons = [], 0
-        n_windows = max(0, math.ceil((n - m + 1) / wlen)) if n >= m else 0
-        for w in range(n_windows):
-            s = w * wlen
-            stop = min(s + wlen, n - m + 1)
-            while s < stop:
-                last_sym = t[s + tail]
-                comparisons += 1
-                if last_sym == p_tail:
-                    j = 0
-                    while j < tail:
-                        comparisons += 1
-                        if t[s + j] != p[j]:
-                            break
-                        j += 1
-                    if j == tail:
-                        positions.append(s)
-                s += jump_get(last_sym, m)
-        reports[pattern.pattern_id] = MatchReport(
-            pattern.pattern_id, "hybrid", positions, comparisons, n_windows)
-        positions_scanned = n - m + 1
+        reports[pattern.pattern_id] = report = _hybrid_scan(text, pattern, wlen)
+        positions_scanned = n - len(pattern) + 1
         if positions_scanned > 0:
             q = 2.0 ** (-pattern.bit_length)
-            p_hat = len(positions) / positions_scanned
+            p_hat = len(report.positions) / positions_scanned
             sigma = math.sqrt(q * (1.0 - q) / positions_scanned)
             if p_hat > q + FLAG_SIGMA * sigma:
                 flagged.add(pattern.pattern_id)

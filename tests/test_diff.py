@@ -213,8 +213,9 @@ class TestKernel:
         assert len(calls) == 7 * 2 * 4
         assert set(calls) == {1024}
         calls.clear()
+        # the zero delta's y' is y: it is counted without a trajectory
         assert cli.main(argv + ["--include-zero-control"]) == 0
-        assert len(calls) == 8 * 2 * 4
+        assert len(calls) == 7 * 2 * 4
 
 
 class TestSharedTrajectory:
