@@ -16,6 +16,7 @@ gather, quarter round and scatter per wavefront.  :func:`block`,
 
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass
 
@@ -54,6 +55,16 @@ LINE_ORDERS = {
 }
 
 
+@functools.lru_cache(maxsize=None)
+def _shift_pair(r: int, word_bits: int) -> tuple[np.ndarray, np.ndarray]:
+    """The shift amounts of a left rotate by r of word_bits-bit words, as
+    read-only 0-d uint32 arrays: a ufunc takes them up faster than Python
+    ints, which it converts on every call."""
+    shifts = np.array((r, word_bits - r), dtype=np.uint32)
+    shifts.flags.writeable = False
+    return shifts[0, ...], shifts[1, ...]
+
+
 def _qrf_lines(words, rotations=ROTATIONS, variant="native", word_bits=32):
     """Run the extended quarter round in place on ``words``, a (4, *shape)
     uint32 array of the words a, b, c, d, and return it.
@@ -80,8 +91,9 @@ def _qrf_lines(words, rotations=ROTATIONS, variant="native", word_bits=32):
         np.bitwise_xor(vx, vt, out=vx)
         r %= word_bits
         if r:
-            np.left_shift(vx, r, out=tmp)
-            np.right_shift(vx, word_bits - r, out=vx)
+            left, right = _shift_pair(r, word_bits)
+            np.left_shift(vx, left, out=tmp)
+            np.right_shift(vx, right, out=vx)
             np.bitwise_or(vx, tmp, out=vx)
         if mask is not None:
             np.bitwise_and(vx, mask, out=vx)

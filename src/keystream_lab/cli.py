@@ -12,6 +12,7 @@ variable.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import os
 import sys
@@ -54,10 +55,9 @@ def _load_dataset(path: str) -> tuple[bytes, dict]:
 
 
 def _run_config(args, dataset_id: dict | None = None) -> dict:
-    """What a run's config hash covers: the parsed options (not the command
-    function, whose repr holds a memory address) and the identity of the
-    dataset analysed, if any."""
-    config = {k: v for k, v in vars(args).items() if k != "func"}
+    """What a run's config hash covers: the parsed options and the identity
+    of the dataset analysed, if any."""
+    config = dict(vars(args))
     if dataset_id is not None:
         config["dataset"] = dataset_id
     return config
@@ -262,7 +262,7 @@ def cmd_report(args) -> int:
     differential decay table) as the ``gen``, ``freq`` and ``diff`` commands
     parsed from these options; stop at the first non-zero exit."""
     ds_path, seed = str(Path(args.out_dir) / "dataset.txt"), f"--seed={args.seed}"
-    parse = build_parser().parse_args
+    parse = _parser().parse_args
     steps = [parse(argv) for argv in (
         ["gen", f"--mode={args.mode}", f"--blocks={args.blocks}",
          f"--preset={args.preset}", f"--out={ds_path}", seed],
@@ -273,10 +273,27 @@ def cmd_report(args) -> int:
     _trial_config(steps[-1])  # reject the diff options before any step writes
     Path(args.out_dir).mkdir(parents=True, exist_ok=True)
     for step in steps:
-        rc = step.func(step)
+        rc = _run(step)
         if rc != EXIT_OK:
             return rc
     return EXIT_OK
+
+
+def _run(args) -> int:
+    """Run the command that ``args`` were parsed for.  The function is looked
+    up by name on each call, so a cached parser holds none."""
+    return globals()[f"cmd_{args.command}"](args)
+
+
+@functools.lru_cache(maxsize=4)
+def _parser_for(default_seed: str) -> argparse.ArgumentParser:
+    # keyed on the --seed default, the one input build_parser reads from the
+    # environment; building the parser costs about 15 parses
+    return build_parser()
+
+
+def _parser() -> argparse.ArgumentParser:
+    return _parser_for(_default_seed())
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -294,7 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", parents=[dataset_opts], help="generate a keystream dataset")
     p.add_argument("--entropy", choices=["seeded", "os"], default="seeded")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("scan", help="search patterns in a dataset")
     p.add_argument("--dataset", required=True)
@@ -304,7 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--engine", choices=list(search.ENGINES), default="kmp")
     p.add_argument("--alphabet", choices=["byte", "word"], default="word")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("freq", help="m-gram frequency analysis")
     p.add_argument("--dataset", required=True)
@@ -314,48 +329,41 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--baseline", action="store_true",
                    help="treat input as a CSPRNG baseline; flags exit 2")
     p.add_argument("--out-dir", default="reports")
-    p.set_defaults(func=cmd_freq)
 
     p = sub.add_parser("diff", parents=[seeded], help="rotational-differential campaign")
     p.add_argument("--trials", type=int, default=1 << 20)
     p.add_argument("--rounds", type=int, nargs="+", default=[1, 2, 4, 8])
     p.add_argument("--include-zero-control", action="store_true")
     p.add_argument("--out-dir", default="reports")
-    p.set_defaults(func=cmd_diff)
 
     p = sub.add_parser("avalanche", parents=[seeded], help="bit-flip probability profile")
     p.add_argument("--rounds", type=int, default=2)
     p.add_argument("--trials", type=int, default=10_000)
     p.add_argument("--out")
-    p.set_defaults(func=cmd_avalanche)
 
     p = sub.add_parser("sweep", parents=[seeded], help="rotation-constant sweep")
     p.add_argument("--sets", default="16,12,8,7,4,2;7,9,13,18,4,2;17,13,9,5,3,2")
     p.add_argument("--trials", type=int, default=1 << 18)
     p.add_argument("--rounds", type=int, nargs="+", default=[4])
     p.add_argument("--out")
-    p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("bench", parents=[seeded], help="engine throughput and accuracy")
     p.add_argument("--size-mb", type=int, default=2)
     p.add_argument("--out")
-    p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("report", parents=[dataset_opts], help="full desk-scale campaign")
     p.add_argument("--trials", type=int, default=1 << 20)
     p.add_argument("--out-dir", default="reports")
-    p.set_defaults(func=cmd_report)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
-        return args.func(args)
+        return _run(args)
     except (OSError, dataset.DatasetFormatError) as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO

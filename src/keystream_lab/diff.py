@@ -10,7 +10,9 @@ near-collision rate: output difference weight at most ``partial_threshold_bits``
 Every paired evaluation (collision trials, avalanche and the sweep's
 diffusion half) runs through one kernel, ``_paired_rounds``: x and one
 x' = x xor delta per delta run in place, ``_LANES`` lanes at a time, and
-y xor y' is read off after each reported round.
+y xor y' is read off after each reported round.  The avalanche counts the
+output-bit flips of each chunk with one positional popcount,
+``_bit_counts``, whose byte fields each sum at most 255 lanes.
 """
 
 from __future__ import annotations
@@ -25,10 +27,11 @@ from .cipher import ROTATIONS, _qrf_lines, rotl32, MASK32, _check_words
 
 _IDEAL_BOUND = 2.0 ** -32
 _BATCH = 1 << 20    # trials per rng draw; fixed, as the rng draw order depends on it
-# lanes per kernel chunk, and per avalanche row group; measured on the default
-# diff: 2^13 takes 25 % longer, 2^15 10 % less but peaks 2.5 MiB higher
+# lanes per kernel chunk, and per avalanche row group, whose flips _bit_counts
+# sums in blocks of _FIELD_LANES lanes; measured on the default diff: 2^13
+# takes 25 % longer, 2^15 10 % less but peaks 2.5 MiB higher
 _LANES = 1 << 14
-_BYTE_BITS = (np.arange(256)[:, None] >> np.arange(8)) & 1    # [v, b]: bit b of byte v
+_FIELD_LANES = 255  # lanes per _bit_counts block: a byte field holds 255 one-bits
 
 
 def _paired_rounds(x, deltas, report, rotations=ROTATIONS, variant="native", word_bits=32):
@@ -48,6 +51,32 @@ def _paired_rounds(x, deltas, report, rotations=ROTATIONS, variant="native", wor
                     _qrf_lines(v, rotations, variant, word_bits)
             if r in report:
                 yield r, lanes, (y ^ yp for yp in yps)
+
+
+def _bit_counts(d) -> np.ndarray:
+    """Positional popcount of the (words, rows, n) uint32 array d: entry
+    [row, 32 * w + b] is how many of the n lanes of ``row`` have bit b of
+    word w set.
+
+    Each pass j = 0..7 moves bit j of every byte into bit 0 of that byte's
+    field, (d >> j) & 0x01010101, and sums the words over blocks of
+    ``_FIELD_LANES`` (255) lanes: a field then counts at most 255 one-bits,
+    so none carries into the next (SWAR; Klarqvist, Mula & Lemire,
+    arXiv:1911.02696).  The block sums' byte fields are split by arithmetic,
+    independent of host byte order, and summed exactly in int64.
+    """
+    starts = np.arange(0, d.shape[-1], _FIELD_LANES)
+    bits, low = np.empty_like(d), np.uint32(0x01010101)
+    # sums[j, w, row, block]: the block's field f holds bit 8f + j of word w
+    sums = np.empty((8, *d.shape[:-1], len(starts)), dtype=np.uint32)
+    for j in range(8):
+        np.right_shift(d, np.uint32(j), out=bits)
+        np.bitwise_and(bits, low, out=bits)
+        np.add.reduceat(bits, starts, axis=-1, dtype=np.uint32, out=sums[j])
+    fields = (sums[..., None] >> np.arange(0, 32, 8, dtype=np.uint32)) & np.uint32(0xFF)
+    # [j, w, row, f] -> [row, w, f, j]: bit 32 * w + 8 * f + j
+    counts = fields.sum(axis=3, dtype=np.int64).transpose(2, 1, 3, 0)
+    return counts.reshape(len(counts), -1)
 
 
 def seed_delta(pattern_words, k: int) -> tuple[int, ...]:
@@ -228,38 +257,29 @@ def avalanche_profile(
     evaluated with and without that bit flipped and output bit flips are
     counted.  rounds=0 is the identity map (exact indicator profile).
 
-    Rows run in chunks of ``max(1, _LANES // trials)``, side by side as one
-    (4, rows * trials) lane array through the kernel.  A chunk's one
-    (rows, 4, trials) draw is the same rng stream as a (4, trials) draw per
-    row.  Flips are counted exactly: per output byte lane, one
-    ``np.bincount`` of the byte values offset by 256 per row, times the
-    (256, 8) table of each value's bits.
+    Rows run in groups of ``max(1, _LANES // trials)``, side by side as one
+    (4, rows, trials) lane array through the kernel, the flipped bit of each
+    row broadcast over its trials.  A group's one (rows, 4, trials) draw is
+    the same rng stream as a (4, trials) draw per row.  Flips are counted
+    exactly on each kernel chunk by :func:`_bit_counts`, a positional
+    popcount whose byte fields sum at most 255 lanes at a time.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if rounds < 0:
         raise ValueError("rounds must be >= 0")
     rng = np.random.default_rng(rng_seed)
-    counts = np.empty((128, 128), dtype=np.int64)
+    counts = np.zeros((128, 128), dtype=np.int64)
     step = max(1, _LANES // trials)
     for start in range(0, 128, step):
-        rows = np.arange(start, min(start + step, 128))
-        k = len(rows)
-        # lane i * trials + t is trial t of row rows[i]
-        x = rng.integers(0, 1 << 32, (k, 4, trials), dtype=np.uint32)
-        x = x.transpose(1, 0, 2).reshape(4, k * trials)
-        flip = np.zeros((4, k * trials), dtype=np.uint32)    # C order; x may be strided
-        d = np.empty_like(flip)
-        flip.reshape(4, k, trials)[rows // 32, np.arange(k)] = \
-            np.uint32(1) << (rows % 32).astype(np.uint32)[:, None]
-        for _, lanes, (dl,) in _paired_rounds(x, [flip], (rounds,), rotations, qrf_variant):
-            d[:, lanes] = dl
-        # byte j of word w holds output bits 32 * w + 8 * j .. + 7
-        octets = d.astype("<u4", copy=False).view(np.uint8).reshape(4, k * trials, 4)
-        offset = np.repeat(np.arange(k) * 256, trials)
-        hist = np.stack([np.bincount(offset + octets[w, :, j], minlength=256 * k)
-                         for w in range(4) for j in range(4)]).reshape(16, k, 256)
-        counts[rows] = (hist @ _BYTE_BITS).transpose(1, 0, 2).reshape(k, 128)
+        stop = min(start + step, 128)
+        rows, k = np.arange(start, stop), stop - start
+        # x[i, j, t] is word i of trial t of row rows[j]
+        x = rng.integers(0, 1 << 32, (k, 4, trials), dtype=np.uint32).transpose(1, 0, 2)
+        flip = np.zeros((4, k, 1), dtype=np.uint32)
+        flip[rows // 32, np.arange(k), 0] = np.uint32(1) << (rows % 32).astype(np.uint32)
+        for _, _, (dl,) in _paired_rounds(x, [flip], (rounds,), rotations, qrf_variant):
+            counts[start:stop] += _bit_counts(dl)
     return AvalancheProfile(counts / trials, trials, rounds)
 
 

@@ -446,6 +446,23 @@ class TestUsage:
         for command, required in self.SEEDED.items():
             assert parser.parse_args([command, "--seed", "9", *required]).seed == 9
 
+    def test_cached_parser_shares_no_append_list(self):
+        parser = cli._parser()
+        first = parser.parse_args(["scan", "--dataset", "x.txt", "--pattern", "aa"])
+        assert cli._parser() is parser
+        second = parser.parse_args(["scan", "--dataset", "x.txt", "--pattern", "bb",
+                                    "--pattern", "cc"])
+        assert first.pattern == ["aa"] and second.pattern == ["bb", "cc"]
+        assert parser.parse_args(["scan", "--dataset", "x.txt"]).pattern == []
+
+    def test_cached_parser_follows_the_seed_environment(self, monkeypatch):
+        monkeypatch.setenv("KEYSTREAM_LAB_SEED", "7")
+        assert cli._parser().parse_args(["diff"]).seed == 7
+        monkeypatch.setenv("KEYSTREAM_LAB_SEED", "8")
+        assert cli._parser().parse_args(["diff"]).seed == 8
+        monkeypatch.delenv("KEYSTREAM_LAB_SEED")
+        assert cli._parser().parse_args(["diff"]).seed == 0
+
     @pytest.mark.parametrize("command", ["scan", "freq"])
     def test_unseeded_commands_reject_seed(self, command, capsys):
         assert run([command, "--dataset", "x.txt", "--seed", "9"]) == cli.EXIT_USAGE
