@@ -80,8 +80,6 @@ def cmd_gen(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    data, dataset_id = _load_dataset(args.dataset)
-    text = search.SymbolStream.from_bytes(data, args.alphabet)
     patterns = []
     for i, hex_pat in enumerate(args.pattern):
         raw = bytes.fromhex(hex_pat)
@@ -90,11 +88,13 @@ def cmd_scan(args) -> int:
             raw = b"".join(raw[j: j + 4][::-1] for j in range(0, len(raw), 4))
         pstream = search.SymbolStream.from_bytes(raw, args.alphabet)
         patterns.append(
-            search.WordPattern(pstream.symbols, f"p{i}", args.alphabet)
+            search.WordPattern(pstream.array.tolist(), f"p{i}", args.alphabet)
         )
     if not patterns:
         print("no patterns given", file=sys.stderr)
         return EXIT_USAGE
+    data, dataset_id = _load_dataset(args.dataset)
+    text = search.SymbolStream.from_bytes(data, args.alphabet)
     if args.engine == "hybrid":
         by_id, flagged = search.hybrid_search(text, patterns)
         reports = list(by_id.values())
@@ -112,6 +112,8 @@ def cmd_scan(args) -> int:
 
 
 def cmd_freq(args) -> int:
+    if args.top < 1:
+        raise ValueError("--top must be >= 1")
     data, dataset_id = _load_dataset(args.dataset)
     run_config = _run_config(args, dataset_id)
     cfg = freq.SignificanceConfig()

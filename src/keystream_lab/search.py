@@ -4,9 +4,9 @@ Engines (:data:`ENGINES`): brute force (ground-truth oracle), KMP,
 Boyer-Moore, and a windowed hybrid that jumps with the bad-character rule and
 verifies candidates symbol by symbol.  Their tables are the textbook ones,
 as plain values: KMP's prefix function is a tuple, and Boyer-Moore's tables
-are a last-occurrence dict and a good-suffix shift tuple.  Streams carry an
-alphabet tag: ``"byte"`` (8-bit symbols) or ``"word"`` (32-bit symbols); all
-engines compare symbols as whole units.
+are a last-occurrence dict and a good-suffix shift tuple.  A stream holds
+its symbols once, in a read-only array of 8-bit (``"byte"``) or 32-bit
+(``"word"``) symbols that the engines compare whole, through a memoryview.
 
 Every report counts symbol comparisons exactly as the textbook loops make
 them.  Where a loop would make a run of equal steps, each one failed
@@ -24,7 +24,6 @@ a jump stops at counts one more.
 from __future__ import annotations
 
 import math
-import struct
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import partial
@@ -32,60 +31,58 @@ from functools import partial
 import numpy as np
 
 SYMBOL_BITS = {"byte": 8, "word": 32}
-_DTYPES = {"byte": np.dtype(np.uint8), "word": np.dtype("<u4")}
+_DTYPES = {"byte": np.dtype(np.uint8), "word": np.dtype(np.uint32)}
 _BLOCK = 1 << 16    # symbols per membership mask, windows per first-jump query: bounds memory
 
 
-def _symbol_array(symbols: tuple, alphabet: str) -> np.ndarray:
-    """``symbols`` as a read-only array of the alphabet's dtype.  Raises
-    ValueError for an unknown alphabet, or for a symbol that is not an
-    integer in [0, 2^bits)."""
+def _symbol_array(symbols, alphabet: str) -> np.ndarray:
+    """``symbols`` as a read-only array of the alphabet's native dtype, not
+    copied if it already is one over immutable ``bytes``.  Raises ValueError
+    for an unknown alphabet, or a symbol that is not an integer in [0, 2^bits)."""
     if alphabet not in SYMBOL_BITS:
         raise ValueError(f"unknown alphabet {alphabet!r}")
-    bits = SYMBOL_BITS[alphabet]
-    values = np.array(symbols)
+    dtype, bits = _DTYPES[alphabet], SYMBOL_BITS[alphabet]
+    if (isinstance(symbols, np.ndarray) and isinstance(symbols.base, bytes)
+            and symbols.dtype == dtype and symbols.ndim == 1):
+        return symbols
+    values = np.asarray(symbols)
     if values.ndim != 1 or values.size and (
             values.dtype.kind not in "iu" or values.min() < 0 or values.max() >> bits):
         raise ValueError(f"{alphabet} symbols must be integers in [0, 2^{bits})")
-    array = values.astype(_DTYPES[alphabet])
+    array = values.astype(dtype)
     array.flags.writeable = False
     return array
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SymbolStream:
-    """A text: ``symbols`` as a tuple of ints, and ``array``, the same
-    symbols as a read-only uint8 or little-endian uint32 array."""
+    """A text: its symbols in one read-only uint8 or native uint32 array,
+    whose buffer the engines index through a memoryview.  Streams compare
+    by identity."""
 
-    symbols: tuple
+    array: np.ndarray
     alphabet: str = "byte"
-    array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "symbols", tuple(self.symbols))
-        object.__setattr__(self, "array", _symbol_array(self.symbols, self.alphabet))
+        object.__setattr__(self, "array", _symbol_array(self.array, self.alphabet))
 
     def __len__(self):
-        return len(self.symbols)
+        return len(self.array)
+
+    @property
+    def symbols(self) -> tuple:
+        """The symbols as a tuple of ints, built on each access."""
+        return tuple(self.array.tolist())
 
     @classmethod
     def from_bytes(cls, data: bytes, alphabet: str = "byte") -> "SymbolStream":
-        """The bytes, or little-endian 32-bit words, of ``data``; the array
-        is a view of the bytes, not a copy."""
-        if alphabet not in SYMBOL_BITS:
-            raise ValueError(f"unknown alphabet {alphabet!r}")
+        """The bytes, or little-endian 32-bit words, of ``data``; on a
+        little-endian host the array is a view of the bytes, not a copy."""
         data = bytes(data)
         if alphabet == "word" and len(data) % 4:
             raise ValueError(f"{len(data)} bytes are not a whole number of "
                              "32-bit words")
-        array = np.frombuffer(data, _DTYPES[alphabet])
-        symbols = tuple(data) if alphabet == "byte" else struct.unpack(f"<{len(array)}I", data)
-        # every symbol read from bytes is in range: skip the constructor's
-        # conversion, which would copy the array
-        stream = object.__new__(cls)
-        for name, value in (("symbols", symbols), ("alphabet", alphabet), ("array", array)):
-            object.__setattr__(stream, name, value)
-        return stream
+        return cls(np.frombuffer(data, "<u4" if alphabet == "word" else np.uint8), alphabet)
 
 
 @dataclass(frozen=True)
@@ -165,7 +162,7 @@ def _next_landing(keys: memoryview, n: int, stride: int, i: int, end: int) -> in
 def brute_force_search(text: SymbolStream, pattern: WordPattern) -> MatchReport:
     """O(n*m) exhaustive scan; ground truth for the other engines."""
     _check_alphabets(text, pattern)
-    t, p = text.symbols, pattern.symbols
+    t, p = memoryview(text.array), pattern.symbols
     n, m = len(t), len(p)
     stop = n - m + 1
     # every shift makes its first comparison, t[s] == p[0]; only the
@@ -210,7 +207,7 @@ def kmp_search(text: SymbolStream, pattern: WordPattern) -> MatchReport:
     index falls back to pi[m-1]).
     """
     _check_alphabets(text, pattern)
-    t, p, pi = text.symbols, pattern.symbols, kmp_preprocess(pattern)
+    t, p, pi = memoryview(text.array), pattern.symbols, kmp_preprocess(pattern)
     n, m = len(t), len(p)
     landings = _landings(text, (p[0],), 1)
     positions, comparisons = [], 0
@@ -284,7 +281,7 @@ def bm_search(text: SymbolStream, pattern: WordPattern) -> MatchReport:
     """Right-to-left scan shifting by max(good-suffix, bad-character)."""
     _check_alphabets(text, pattern)
     last, gs = bm_preprocess(pattern)
-    t, p = text.symbols, pattern.symbols
+    t, p = memoryview(text.array), pattern.symbols
     n, m = len(t), len(p)
     full_shift, last_get, tail = gs[m], last.get, m - 1
     p_tail = p[tail]
@@ -341,7 +338,7 @@ class HybridConfig:
 
 def _hybrid_scan(text: SymbolStream, pattern: WordPattern, wlen: int) -> MatchReport:
     """One pattern's windowed scan, with windows of ``wlen`` symbols."""
-    t, p = text.symbols, pattern.symbols
+    t, p = memoryview(text.array), pattern.symbols
     n, m = len(t), len(p)
     # Horspool-style shifts: from the rightmost place among the first m-1
     # symbols, else m; the landings are the positions of the pattern's

@@ -114,6 +114,12 @@ class TestScan:
         assert run(["scan", "--dataset", "/no/such/file", "--pattern",
                     "00000000"]) == cli.EXIT_IO
 
+    @pytest.mark.parametrize("patterns", [[], ["--pattern", "zz"]], ids=["none", "malformed"])
+    def test_patterns_checked_before_dataset_read(self, tmp_path, patterns, capsys):
+        assert run(["scan", "--dataset", str(tmp_path / "missing.txt")]
+                   + patterns) == cli.EXIT_USAGE
+        assert "I/O error" not in capsys.readouterr().err
+
     def test_partial_word_pattern_usage_error(self, small_dataset, capsys):
         # 6 bytes are one and a half 32-bit words; nothing may be dropped
         assert run(["scan", "--dataset", str(small_dataset), "--pattern",
@@ -187,6 +193,13 @@ class TestFreq:
         assert (outdir / "freq_m8.csv").exists()
         assert (outdir / "top5_m8.svg").exists()
         assert "chi2=" in capsys.readouterr().out
+
+    def test_top_below_one_rejected_before_any_write(self, small_dataset, tmp_path, capsys):
+        outdir = tmp_path / "fo"
+        assert run(["freq", "--dataset", str(small_dataset), "--top", "0",
+                    "--out-dir", str(outdir)]) == cli.EXIT_USAGE
+        assert not outdir.exists()
+        assert "chi2" not in capsys.readouterr().out
 
     def test_csv_has_config_hash(self, small_dataset, tmp_path):
         outdir = tmp_path / "reports"

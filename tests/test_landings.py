@@ -3,6 +3,8 @@ boundaries, against the plain-loop transcriptions in helpers.py; and the
 symbol checks of ``SymbolStream`` and ``WordPattern``."""
 
 import random
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -75,6 +77,32 @@ def test_stream_array_holds_the_symbols():
             assert not text.array.flags.writeable
     # from_bytes makes no copy of the bytes
     assert np.shares_memory(SymbolStream.from_bytes(data).array, np.frombuffer(data, np.uint8))
+    # an array over memory that can change is copied, even through a read-only view
+    base = np.zeros(8, np.uint8)
+    view = base.view()
+    view.flags.writeable = False
+    text = SymbolStream(view)
+    base[3] = 7
+    assert text.symbols == (0,) * 8
+
+
+@pytest.mark.parametrize("alphabet", ["byte", "word"])
+def test_from_bytes_holds_no_per_symbol_objects(alphabet):
+    """A 4 MiB text costs no Python object per symbol: on a little-endian
+    host the array is a view of the bytes, and a big-endian host makes only
+    the one native copy of the words."""
+    data = bytes(range(256)) * (1 << 14)
+    allowed = 1 << 20
+    if alphabet == "word" and sys.byteorder == "big":
+        allowed += len(data)
+    tracemalloc.start()
+    try:
+        text = SymbolStream.from_bytes(data, alphabet)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(text) == len(data) // (1 if alphabet == "byte" else 4)
+    assert peak < allowed
 
 
 @pytest.mark.parametrize("alphabet", ["byte", "word"])
