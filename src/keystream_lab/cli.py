@@ -93,6 +93,8 @@ def cmd_scan(args) -> int:
     if not patterns:
         print("no patterns given", file=sys.stderr)
         return EXIT_USAGE
+    if args.engine == "hybrid":
+        search.HybridConfig().window_symbols(args.alphabet, patterns)
     data, dataset_id = _load_dataset(args.dataset)
     text = search.SymbolStream.from_bytes(data, args.alphabet)
     if args.engine == "hybrid":

@@ -160,11 +160,19 @@ def chi_square(
 
 def top_k(table: FrequencyTable, k: int) -> list[tuple[int, int]]:
     """k most frequent patterns as (pattern, count); ties break on ascending
-    pattern value."""
+    pattern value.  Only the candidates are ranked: the counts above the k-th
+    largest (by ``np.sort``: ``np.partition`` is slow on m=32's counts, all 1
+    but a few) and the smallest values whose count equals it."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    order = np.lexsort((table.values, -table.counts))[:k]
-    return [(int(table.values[i]), int(table.counts[i])) for i in order]
+    values, counts = table.values, table.counts
+    pick = np.arange(len(counts))
+    if k < len(counts):
+        kth = np.sort(counts)[-k]
+        above = np.flatnonzero(counts > kth)
+        pick = np.concatenate((above, np.flatnonzero(counts == kth)[: k - len(above)]))
+    order = pick[np.lexsort((values[pick], -counts[pick]))]
+    return [(int(values[i]), int(counts[i])) for i in order]
 
 
 def scan_significant(

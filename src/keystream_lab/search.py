@@ -6,7 +6,8 @@ verifies candidates symbol by symbol.  Their tables are the textbook ones,
 as plain values: KMP's prefix function is a tuple, and Boyer-Moore's tables
 are a last-occurrence dict and a good-suffix shift tuple.  A stream holds
 its symbols once, in a read-only array of 8-bit (``"byte"``) or 32-bit
-(``"word"``) symbols that the engines compare whole, through a memoryview.
+(``"word"``) symbols, which brute force, KMP and Boyer-Moore index through a
+memoryview.
 
 Every report counts symbol comparisons exactly as the textbook loops make
 them.  Where a loop would make a run of equal steps, each one failed
@@ -18,7 +19,9 @@ the positions of ``p[0]``.  Boyer-Moore and the hybrid shift by the pattern
 length past each symbol the pattern does not contain; their landings are the
 positions of the pattern's symbols, and a jump stays in its residue class
 modulo that shift.  Each skipped shift counts one comparison, and the landing
-a jump stops at counts one more.
+a jump stops at counts one more.  The hybrid's windows are independent, so
+it steps all the windows of a block together, as numpy arrays, and verifies
+its candidates one pattern column at a time.
 """
 
 from __future__ import annotations
@@ -32,7 +35,8 @@ import numpy as np
 
 SYMBOL_BITS = {"byte": 8, "word": 32}
 _DTYPES = {"byte": np.dtype(np.uint8), "word": np.dtype(np.uint32)}
-_BLOCK = 1 << 16    # symbols per membership mask, windows per first-jump query: bounds memory
+_BLOCK = 1 << 16    # symbols per membership mask, windows walked together: bounds memory
+_FEW = 16           # up to this many distinct symbols, membership is a chain of ==
 
 
 def _symbol_array(symbols, alphabet: str) -> np.ndarray:
@@ -57,8 +61,8 @@ def _symbol_array(symbols, alphabet: str) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class SymbolStream:
     """A text: its symbols in one read-only uint8 or native uint32 array,
-    whose buffer the engines index through a memoryview.  Streams compare
-    by identity."""
+    whose buffer the per-symbol walks index through a memoryview.  Streams
+    compare by identity."""
 
     array: np.ndarray
     alphabet: str = "byte"
@@ -131,22 +135,36 @@ def _landings(text: SymbolStream, symbols, stride: int) -> memoryview:
     are sorted, so the landings of one residue class are consecutive and in
     order (:func:`_next_landing`), and end with the sentinel stride * n.
     They are an int64 array behind a memoryview, which ``bisect`` searches
-    without a list of Python ints."""
+    without a list of Python ints.
+
+    Membership is tested per ``_BLOCK`` symbols: ``==`` per symbol for a few
+    distinct symbols, else a 256-entry table read with ``take`` (bytes) or
+    ``np.isin`` (words).  ``flatnonzero`` yields the positions in order,
+    which at stride 1 are the keys; at a larger stride a stable radix
+    argsort of the small-integer residues groups them by class."""
     a, n = text.array, len(text)
-    wanted = np.fromiter(symbols, a.dtype)
-    if text.alphabet == "byte":
+    wanted = np.unique(np.fromiter(symbols, a.dtype))
+    if len(wanted) <= _FEW:
+        def member(block):
+            mask = block == wanted[0]
+            for s in wanted[1:]:
+                mask |= block == s
+            return mask
+    elif text.alphabet == "byte":
         lut = np.zeros(256, dtype=bool)
         lut[wanted] = True
-        member = lut.__getitem__
+        member = lut.take
     else:
         member = partial(np.isin, test_elements=wanted)
-    keys = [np.array([stride * n])]
-    for lo in range(0, n, _BLOCK):
-        pos = lo + np.flatnonzero(member(a[lo: lo + _BLOCK]))
-        keys.append(pos % stride * n + pos)
-    keys = np.concatenate(keys)
-    keys.sort()
-    return memoryview(keys)
+    pos = [lo + np.flatnonzero(member(a[lo: lo + _BLOCK])) for lo in range(0, n, _BLOCK)]
+    pos = np.concatenate(pos + [np.array([stride * n])])
+    if stride > 1:
+        keys = pos[:-1] - pos[:-1] // stride * stride    # // by a scalar is fast; % is not
+        order = np.argsort(keys.astype(np.min_scalar_type(stride - 1)), kind="stable")
+        keys *= n
+        keys += pos[:-1]
+        keys.take(order, out=pos[:-1], mode="clip")    # in range; "clip" writes out unbuffered
+    return memoryview(pos)
 
 
 def _next_landing(keys: memoryview, n: int, stride: int, i: int, end: int) -> int:
@@ -329,61 +347,62 @@ FLAG_SIGMA = 3.0  # margin, in standard errors, of the hybrid scan's flag rule
 class HybridConfig:
     window_bits: int = 256
 
-    def window_symbols(self, alphabet: str) -> int:
+    def window_symbols(self, alphabet: str, patterns=()) -> int:
+        """The window in symbols; raises ValueError if ``window_bits`` is not
+        symbol aligned or the window is shorter than one of ``patterns``."""
         bits = SYMBOL_BITS[alphabet]
         if self.window_bits % bits:
             raise ValueError("window_bits must be symbol aligned")
-        return self.window_bits // bits
+        wlen, longest = self.window_bits // bits, max(map(len, patterns), default=0)
+        if longest > wlen:
+            raise ValueError(
+                f"window of {wlen} symbols is smaller than longest pattern ({longest})"
+            )
+        return wlen
 
 
 def _hybrid_scan(text: SymbolStream, pattern: WordPattern, wlen: int) -> MatchReport:
-    """One pattern's windowed scan, with windows of ``wlen`` symbols."""
-    t, p = memoryview(text.array), pattern.symbols
-    n, m = len(t), len(p)
+    """One pattern's windowed scan, with windows of ``wlen`` symbols.  The
+    windows are independent, so the ones of a ``_BLOCK`` block step together
+    as arrays of their last-symbol positions i, until each reaches its end."""
+    a, p = text.array, pattern.symbols
+    n, m = len(a), len(p)
     # Horspool-style shifts: from the rightmost place among the first m-1
     # symbols, else m; the landings are the positions of the pattern's
     # symbols, where the shift is not m or a candidate is verified
     jump = dict.fromkeys(p, m)
     for idx in range(m - 1):
         jump[p[idx]] = m - 1 - idx
-    p_tail, tail = p[m - 1], m - 1
-    landings = _landings(text, jump, m)
-    keys = np.asarray(landings)
-    positions, comparisons = [], 0
+    tail = m - 1
+    keys = np.asarray(_landings(text, jump, m))
+    symbols = np.array(sorted(jump), a.dtype)
+    shifts = np.array([jump[c] for c in sorted(jump)])
+    found, comparisons = [], 0
     n_windows = max(0, math.ceil((n - m + 1) / wlen)) if n >= m else 0
     for w in range(0, n_windows, _BLOCK):
-        # each window walks the last-symbol positions i of its shifts, from
-        # its start to its end (exclusive), by jumps of m between landings;
-        # the first jumps (_next_landing) of a block of windows at once
-        start = np.arange(w, min(w + _BLOCK, n_windows)) * wlen + tail
-        end = np.minimum(start + wlen, n)
-        base = start % m * n
-        first = keys[np.searchsorted(keys, base + start)] - base
-        first = np.where(first < end, first, end + (start - end) % m)
-        comparisons += int(((first - start) // m).sum())
-        walk = first < end
-        for i, stop in zip(first[walk].tolist(), end[walk].tolist()):
-            while True:     # i is a landing before stop
-                symbol = t[i]
-                comparisons += 1
-                if symbol == p_tail:
-                    s, j = i - tail, 0
-                    while j < tail:
-                        comparisons += 1
-                        if t[s + j] != p[j]:
-                            break
-                        j += 1
-                    if j == tail:
-                        positions.append(s)
-                i += jump[symbol]
-                if i >= stop:
-                    break
-                if t[i] not in jump:
-                    landing = _next_landing(landings, n, m, i, stop)
-                    comparisons += (landing - i) // m
-                    if landing >= stop:
-                        break
-                    i = landing
+        i = np.arange(w, min(w + _BLOCK, n_windows)) * wlen + tail
+        end = np.minimum(i + wlen, n)
+        while i.size:
+            # jump by m to the next landing of i's class (i itself if it is
+            # one), or past the end, counting each skipped shift
+            base = i % m * n
+            landing = keys[np.searchsorted(keys, base + i)] - base
+            landing = np.where(landing < end, landing, end + (i - end) % m)
+            comparisons += int(((landing - i) // m).sum())
+            live = landing < end
+            i, end = landing[live], end[live]
+            symbol = a[i]
+            comparisons += i.size
+            # verify the candidates one pattern column at a time
+            s = i[symbol == p[tail]] - tail
+            for j in range(tail):
+                comparisons += s.size
+                s = s[a[s + j] == p[j]]
+            found.append(s)
+            i = i + shifts[np.searchsorted(symbols, symbol)]
+            live = i < end
+            i, end = i[live], end[live]
+    positions = np.sort(np.concatenate(found)).tolist() if found else []
     return MatchReport(pattern.pattern_id, "hybrid", positions, comparisons, n_windows)
 
 
@@ -405,12 +424,7 @@ def hybrid_search(
         config = HybridConfig()
     for p in patterns:
         _check_alphabets(text, p)
-    wlen = config.window_symbols(text.alphabet) if patterns else 0
-    longest = max((len(p) for p in patterns), default=0)
-    if patterns and longest > wlen:
-        raise ValueError(
-            f"window of {wlen} symbols is smaller than longest pattern ({longest})"
-        )
+    wlen = config.window_symbols(text.alphabet, patterns) if patterns else 0
     n = len(text)
     reports: dict[str, MatchReport] = {}
     flagged: set[str] = set()

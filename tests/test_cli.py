@@ -120,6 +120,15 @@ class TestScan:
                    + patterns) == cli.EXIT_USAGE
         assert "I/O error" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize("alphabet,pattern", [("byte", "ab" * 33), ("word", "0badcafe" * 9)],
+                             ids=["byte", "word"])
+    def test_hybrid_window_checked_before_dataset_read(self, tmp_path, alphabet, pattern, capsys):
+        # 33 bytes, or 9 words, do not fit the hybrid's 256-bit window
+        assert run(["scan", "--dataset", str(tmp_path / "missing.txt"), "--engine", "hybrid",
+                    "--alphabet", alphabet, "--pattern", pattern]) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "I/O error" not in err and "smaller than longest pattern" in err
+
     def test_partial_word_pattern_usage_error(self, small_dataset, capsys):
         # 6 bytes are one and a half 32-bit words; nothing may be dropped
         assert run(["scan", "--dataset", str(small_dataset), "--pattern",

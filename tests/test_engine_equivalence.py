@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from keystream_lab.search import (
+    SYMBOL_BITS,
     HybridConfig,
     SymbolStream,
     WordPattern,
     bm_preprocess,
+    hybrid_search,
     kmp_preprocess,
     search,
 )
@@ -94,6 +96,21 @@ def test_periodic_texts(data, period, n):
     else:
         p = data.draw(patterns_for(t, palette))
     assert_engines_match_references(t, p, alphabet)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), factor=st.sampled_from([1, 2, 64, None]))
+def test_hybrid_windows(data, factor):
+    """The hybrid at windows of 1, 2 and 64 times the pattern's length, and
+    at the 512 bits (``factor`` None) that criterion 03 uses, on random and
+    small-alphabet texts."""
+    alphabet, palette = data.draw(palettes(max_size=data.draw(st.sampled_from([3, 256]))))
+    t = tuple(data.draw(st.lists(st.sampled_from(palette), max_size=300)))
+    p = data.draw(patterns_for(t, palette))
+    config = HybridConfig(512 if factor is None else factor * len(p) * SYMBOL_BITS[alphabet])
+    rep = hybrid_search(SymbolStream(t, alphabet), [WordPattern(p, "p", alphabet)], config)[0]["p"]
+    want = hybrid_reference(t, p, config.window_symbols(alphabet))
+    assert (rep.positions, rep.comparisons, rep.windows_scanned) == want
 
 
 @pytest.mark.parametrize("alphabet", sorted(ALPHABET_SIZE))

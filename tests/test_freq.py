@@ -182,6 +182,25 @@ class TestTopK:
         with pytest.raises(ValueError):
             top_k(table_of({1: 1}, 1, 8), 0)
 
+    def test_ties_straddle_the_kth_count(self):
+        # the 3rd largest count is 3, held by four values: two of them fit,
+        # the smallest ones
+        table = table_of({6: 3, 1: 5, 4: 3, 2: 3, 9: 1, 3: 3}, 18, 8)
+        assert top_k(table, 3) == [(1, 5), (2, 3), (3, 3)]
+        assert top_k(table, 5) == [(1, 5), (2, 3), (3, 3), (4, 3), (6, 3)]
+
+    @pytest.mark.parametrize("k", [3, 4, 100])
+    def test_k_at_least_the_distinct_values(self, k):
+        table = table_of({7: 2, 3: 2, 9: 4}, 8, 8)
+        assert top_k(table, k) == [(9, 4), (3, 2), (7, 2)]
+
+    def test_all_counts_equal(self):
+        # m = 32 over distinct words, as keystream nearly always is: every
+        # count is 1, so the top k are the k smallest words
+        words = np.random.default_rng(4).permutation(1 << 16).astype("<u4") * 65537
+        table = extract_mgrams(words.tobytes(), MGramSpec(32))
+        assert top_k(table, 10) == [(int(w), 1) for w in np.sort(words)[:10]]
+
 
 class TestScan:
     def test_planted_byte_detected(self):

@@ -5,12 +5,15 @@ symbol checks of ``SymbolStream`` and ``WordPattern``."""
 import random
 import sys
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from keystream_lab import cli, dataset
+from keystream_lab import cli, dataset, search as search_module
 from keystream_lab.search import (
+    SYMBOL_BITS,
     HybridConfig,
     SymbolStream,
     WordPattern,
@@ -140,6 +143,55 @@ def test_partial_last_window():
     text = SymbolStream(t)
     assert_engines_match(text, (7, 8, 9))
     assert search(text, WordPattern((7, 8, 9)), "hybrid").positions == [62, 66]
+
+
+def naive_keys(t, symbols, stride):
+    """The landing keys by their definition: (i mod stride) * n + i for each
+    position i holding one of ``symbols``, sorted, then the sentinel."""
+    n, wanted = len(t), set(symbols)
+    return sorted(i % stride * n + i for i, c in enumerate(t) if c in wanted) + [stride * n]
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_landings_equal_naive_keys(data):
+    """Both alphabets; symbol sets with repeats, absent symbols, or every
+    byte (so each membership test is used: ``==``, the byte table and
+    ``isin``); strides 1, 2, m, above 256 and above n; blocks of 7 and 64
+    symbols as well as the default, so a text spans several of them."""
+    alphabet = data.draw(st.sampled_from(sorted(SYMBOL_BITS)))
+    top = (1 << SYMBOL_BITS[alphabet]) - 1
+    palette = data.draw(st.lists(st.integers(0, top), min_size=1, max_size=8, unique=True))
+    t = data.draw(st.lists(st.sampled_from(palette), max_size=300))
+    symbols = data.draw(st.one_of(
+        st.lists(st.sampled_from(palette) | st.integers(0, top), min_size=1, max_size=40),
+        st.just(list(range(256))),
+    ))
+    stride = data.draw(st.sampled_from([1, 2, len(symbols), 257, len(t) + 1])
+                       | st.integers(1, 300))
+    block = data.draw(st.sampled_from([7, 64, search_module._BLOCK]))
+    with mock.patch.object(search_module, "_BLOCK", block):
+        keys = search_module._landings(SymbolStream(t, alphabet), symbols, stride)
+    assert keys.tolist() == naive_keys(t, symbols, stride)
+
+
+@pytest.mark.parametrize("stride", [1, 33])
+def test_landings_memory_is_the_landings_plus_a_block(stride):
+    """On 4 MiB with a dense symbol set (64 of 256 bytes: a quarter of the
+    positions land), the index costs a few arrays of the landings' size (at
+    stride 1 the blocks' positions and the keys; above it also the residues
+    and their sort order) and one block's mask and positions, never an int64
+    array of the text's length."""
+    data = np.random.default_rng(3).integers(0, 256, 4 << 20, dtype=np.uint8).tobytes()
+    text = SymbolStream.from_bytes(data)
+    tracemalloc.start()
+    try:
+        keys = search_module._landings(text, range(0, 256, 4), stride)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(keys) - 1 == np.count_nonzero(np.frombuffer(data, np.uint8) % 4 == 0)
+    assert peak < 4 * keys.nbytes + 32 * search_module._BLOCK
 
 
 class TestSymbolChecks:
