@@ -93,12 +93,13 @@ def cmd_scan(args) -> int:
     if not patterns:
         print("no patterns given", file=sys.stderr)
         return EXIT_USAGE
+    config = search.HybridConfig()
     if args.engine == "hybrid":
-        search.HybridConfig().window_symbols(args.alphabet, patterns)
+        config.window_symbols(args.alphabet, patterns)
     data, dataset_id = _load_dataset(args.dataset)
     text = search.SymbolStream.from_bytes(data, args.alphabet)
     if args.engine == "hybrid":
-        by_id, flagged = search.hybrid_search(text, patterns)
+        by_id, flagged = search.hybrid_search(text, patterns, config)
         reports = list(by_id.values())
         for pid in sorted(flagged):
             print(f"flagged: {pid}")

@@ -36,7 +36,7 @@ import numpy as np
 SYMBOL_BITS = {"byte": 8, "word": 32}
 _DTYPES = {"byte": np.dtype(np.uint8), "word": np.dtype(np.uint32)}
 _BLOCK = 1 << 16    # symbols per membership mask, windows walked together: bounds memory
-_FEW = 16           # up to this many distinct symbols, membership is a chain of ==
+_FEW = 14           # up to this many distinct bytes, a chain of == beats a table read
 
 
 def _symbol_array(symbols, alphabet: str) -> np.ndarray:
@@ -137,25 +137,25 @@ def _landings(text: SymbolStream, symbols, stride: int) -> memoryview:
     They are an int64 array behind a memoryview, which ``bisect`` searches
     without a list of Python ints.
 
-    Membership is tested per ``_BLOCK`` symbols: ``==`` per symbol for a few
-    distinct symbols, else a 256-entry table read with ``take`` (bytes) or
-    ``np.isin`` (words).  ``flatnonzero`` yields the positions in order,
+    Membership is tested per ``_BLOCK`` symbols: ``np.isin`` for words; for
+    bytes, ``==`` per symbol up to ``_FEW`` distinct ones, else a 256-entry
+    table read with ``take``.  ``flatnonzero`` yields the positions in order,
     which at stride 1 are the keys; at a larger stride a stable radix
     argsort of the small-integer residues groups them by class."""
     a, n = text.array, len(text)
     wanted = np.unique(np.fromiter(symbols, a.dtype))
-    if len(wanted) <= _FEW:
+    if text.alphabet == "word":
+        member = partial(np.isin, test_elements=wanted)
+    elif len(wanted) <= _FEW:
         def member(block):
             mask = block == wanted[0]
             for s in wanted[1:]:
                 mask |= block == s
             return mask
-    elif text.alphabet == "byte":
+    else:
         lut = np.zeros(256, dtype=bool)
         lut[wanted] = True
         member = lut.take
-    else:
-        member = partial(np.isin, test_elements=wanted)
     pos = [lo + np.flatnonzero(member(a[lo: lo + _BLOCK])) for lo in range(0, n, _BLOCK)]
     pos = np.concatenate(pos + [np.array([stride * n])])
     if stride > 1:
