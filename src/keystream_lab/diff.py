@@ -21,8 +21,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
+from ._lazy import special
 from .cipher import ROTATIONS, _qrf_lines, rotl32, MASK32, _check_words
 
 _IDEAL_BOUND = 2.0 ** -32

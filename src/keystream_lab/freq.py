@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy import special
+
+from ._lazy import special
 
 FOLD_BUCKETS = 1 << 16
 COUNT_CHUNK = 1 << 22  # grams per bincount call
