@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._lazy import special
+from ._tails import binom_upper
 from .cipher import ROTATIONS, _qrf_lines, rotl32, MASK32, _check_words
 
 _IDEAL_BOUND = 2.0 ** -32
@@ -148,7 +148,7 @@ def _make_stats(rounds: int, trials: int, full: int, partial: int) -> CollisionS
     p_hat = k / trials
     sigma = math.sqrt(p_hat * (1.0 - p_hat) / trials)
     passes = p_hat < _IDEAL_BOUND + 3.0 * sigma
-    p_upper = 1.0 if k == trials else float(special.betaincinv(k + 1, trials - k, 0.95))
+    p_upper = binom_upper(k, trials, 0.95)
     return CollisionStats(rounds, trials, full, partial, p_hat, sigma, passes, p_upper)
 
 

@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._lazy import special
+from ._tails import chdtri, ndtri
 
 FOLD_BUCKETS = 1 << 16
 COUNT_CHUNK = 1 << 22  # grams per bincount call
@@ -70,10 +70,15 @@ class SignificanceConfig:
     alpha: float = 1e-6
     chi2_alpha: float = 0.001
 
+    def __post_init__(self):
+        for name in ("alpha", "chi2_alpha"):
+            if not 0.0 < getattr(self, name) < 1.0:  # NaN fails too
+                raise ValueError(f"{name} must be in (0, 1)")
+
     @cached_property
     def z_threshold(self) -> float:
         """The two-sided normal quantile at ``alpha``: 4.8916 at 1e-6."""
-        return float(special.ndtri(1.0 - self.alpha / 2.0))
+        return ndtri(1.0 - self.alpha / 2.0)
 
 
 @dataclass
@@ -143,7 +148,7 @@ def chi_square(
 ) -> tuple[float, bool]:
     """Pearson chi-square against uniformity; pass iff below the quantile at
     ``chi2_alpha`` for the table's degrees of freedom.
-    ``special.chdtri`` takes the upper-tail alpha directly, not 1 - alpha."""
+    ``chdtri`` takes the upper-tail alpha directly, not 1 - alpha."""
     if cfg is None:
         cfg = SignificanceConfig()
     cells = table.cells
@@ -155,7 +160,7 @@ def chi_square(
             stacklevel=2,
         )
     statistic = float(((cells - expected) ** 2 / expected).sum())
-    critical = special.chdtri(len(cells) - 1, cfg.chi2_alpha)
+    critical = chdtri(len(cells) - 1, cfg.chi2_alpha)
     return statistic, statistic < critical
 
 

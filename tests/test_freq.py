@@ -127,6 +127,14 @@ class TestZScore:
         with pytest.raises(TypeError):
             SignificanceConfig(z_threshold=3.0)
 
+    @pytest.mark.parametrize("value", [0.0, 1.0, -0.5, 1.5, 2.0, math.nan])
+    @pytest.mark.parametrize("name", ["alpha", "chi2_alpha"])
+    def test_significance_level_outside_unit_interval_rejected(self, name, value):
+        # chi2_alpha = 0 once passed every table and 1.5 failed every one;
+        # alpha = 0 flagged no cell and alpha = 2 flagged every cell
+        with pytest.raises(ValueError, match=name):
+            SignificanceConfig(**{name: value})
+
     @pytest.mark.parametrize("m_bits, pattern", [
         (8, 300), (8, -1), (8, 256), (16, 1 << 16), (32, 1 << 32), (32, -1)])
     def test_pattern_outside_width_rejected(self, m_bits, pattern):
