@@ -1,9 +1,9 @@
 """Command-line entry point.
 
 Commands: gen, scan, freq, diff, avalanche, sweep, bench, report.
-Exit codes: 0 success, 1 usage error, 2 analysis failure (a significance
-flag was raised on a CSPRNG baseline, or a ``bench`` engine missed or
-invented a match), 3 I/O error.
+Exit codes: 0 success, 1 usage error (a request too large for memory too),
+2 analysis failure (a significance flag was raised on a CSPRNG baseline, or
+a ``bench`` engine missed or invented a match), 3 I/O error.
 
 The default RNG seed can be set with the KEYSTREAM_LAB_SEED environment
 variable.
@@ -65,14 +65,18 @@ def _run_config(args, dataset_id: dict | None = None) -> dict:
 
 # --- commands --------------------------------------------------------------
 
-def cmd_gen(args) -> int:
-    cfg = dataset.DatasetConfig(
+def _dataset_config(args) -> dataset.DatasetConfig:
+    return dataset.DatasetConfig(
         mode=args.mode,
         n_blocks=args.blocks,
         rng_seed=args.seed,
         cipher=cipher.CipherConfig(schedule=args.preset),
         entropy=args.entropy,
     )
+
+
+def cmd_gen(args) -> int:
+    cfg = _dataset_config(args)
     blocks = dataset.generate_dataset(cfg)
     dataset.persist(blocks, cfg, args.out)
     print(f"wrote {len(blocks)} blocks to {args.out}")
@@ -80,26 +84,21 @@ def cmd_gen(args) -> int:
 
 
 def cmd_scan(args) -> int:
+    # big-endian: 8 hex digits per word value, as freq_m32.csv and dataset
+    # files write it (byteswap leaves a byte as it is)
     patterns = []
     for i, hex_pat in enumerate(args.pattern):
-        raw = bytes.fromhex(hex_pat)
-        if args.alphabet == "word":
-            # 8 hex digits per word value, as freq_m32.csv and dataset files write it
-            raw = b"".join(raw[j: j + 4][::-1] for j in range(0, len(raw), 4))
-        pstream = search.SymbolStream.from_bytes(raw, args.alphabet)
-        patterns.append(
-            search.WordPattern(pstream.array.tolist(), f"p{i}", args.alphabet)
-        )
+        symbols = search.SymbolStream.from_bytes(bytes.fromhex(hex_pat), args.alphabet).array
+        patterns.append(search.WordPattern(symbols.byteswap().tolist(), f"p{i}", args.alphabet))
     if not patterns:
         print("no patterns given", file=sys.stderr)
         return EXIT_USAGE
-    config = search.HybridConfig()
     if args.engine == "hybrid":
-        config.window_symbols(args.alphabet, patterns)
+        search.HybridConfig().window_symbols(args.alphabet, patterns)
     data, dataset_id = _load_dataset(args.dataset)
     text = search.SymbolStream.from_bytes(data, args.alphabet)
     if args.engine == "hybrid":
-        by_id, flagged = search.hybrid_search(text, patterns, config)
+        by_id, flagged = search.hybrid_search(text, patterns)
         reports = list(by_id.values())
         for pid in sorted(flagged):
             print(f"flagged: {pid}")
@@ -109,8 +108,7 @@ def cmd_scan(args) -> int:
         print(f"{rep.pattern_id}: {len(rep.positions)} matches "
               f"({rep.comparisons} comparisons)")
     if args.out:
-        report.write_csv(args.out, report.match_report_rows(reports),
-                         _run_config(args, dataset_id))
+        report.write_match_csv(args.out, reports, _run_config(args, dataset_id))
     return EXIT_OK
 
 
@@ -275,7 +273,9 @@ def cmd_report(args) -> int:
         ["diff", f"--trials={args.trials}", "--rounds", "1", "2", "4",
          "--include-zero-control", f"--out-dir={args.out_dir}", seed],
     )]
-    _trial_config(steps[-1])  # reject the diff options before any step writes
+    # reject the gen and diff options before any step writes
+    _dataset_config(steps[0])
+    _trial_config(steps[-1])
     Path(args.out_dir).mkdir(parents=True, exist_ok=True)
     for step in steps:
         rc = _run(step)
@@ -374,6 +374,10 @@ def main(argv=None) -> int:
         return EXIT_IO
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:
+        # numpy's names the allocation: "Unable to allocate 7.28 TiB for ..."
+        print(f"usage error: out of memory: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -12,7 +12,6 @@ runs over the same cells.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -121,15 +120,22 @@ def extract_mgrams(keystream: bytes, spec: MGramSpec) -> FrequencyTable:
     return FrequencyTable(values.astype(np.uint32), cells[values], n, spec.m_bits)
 
 
+def binomial_z(counts, n: int, q: float):
+    """z-scores of ``counts`` under Bin(n, q), with the model's expected
+    count and variance.  At q = 0 (2^-k underflows past k = 1,074) the
+    variance is 0: a count above 0 scores inf and a count of 0 scores nan,
+    so neither raises and only the first exceeds a threshold."""
+    if n <= 0:
+        raise ValueError("empty sample: N must be > 0")
+    expected = n * q
+    variance = n * q * (1.0 - q)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return (counts - expected) / np.sqrt(variance), expected, variance
+
+
 def _cell_z(table: FrequencyTable, counts):
-    """z-scores of cell counts under Bin(N, 1/cells), with the model's
-    expected count and variance."""
-    if table.n <= 0:
-        raise ValueError("empty table: N must be > 0")
-    q = 1.0 / len(table.cells)
-    expected = table.n * q
-    variance = table.n * q * (1.0 - q)
-    return (counts - expected) / math.sqrt(variance), expected, variance
+    """z-scores of cell counts under Bin(N, 1/cells): :func:`binomial_z`."""
+    return binomial_z(counts, table.n, 1.0 / len(table.cells))
 
 
 def z_score(

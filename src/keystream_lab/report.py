@@ -19,8 +19,11 @@ def config_hash(config: dict) -> str:
     return hashlib.sha256(blob).hexdigest()[:12]
 
 
-def write_csv(path, rows: list[dict], config) -> None:
-    fieldnames = list(rows[0].keys()) if rows else []
+def write_csv(path, rows: list[dict], config, fieldnames=None) -> None:
+    """The rows under a header of ``fieldnames``, by default the first
+    row's keys (none if there are no rows)."""
+    if fieldnames is None:
+        fieldnames = list(rows[0].keys()) if rows else []
     with open(path, "w", newline="") as fh:
         fh.write(f"# config_hash={config_hash(config)}\n")
         writer = csv.DictWriter(fh, fieldnames=fieldnames)
@@ -28,19 +31,12 @@ def write_csv(path, rows: list[dict], config) -> None:
         writer.writerows(rows)
 
 
-def match_report_rows(reports) -> list[dict]:
-    rows = []
-    for report in reports:
-        for pos in report.positions:
-            rows.append(
-                {
-                    "pattern_id": report.pattern_id,
-                    "position": pos,
-                    "engine": report.engine,
-                    "comparisons": report.comparisons,
-                }
-            )
-    return rows
+def write_match_csv(path, reports, config) -> None:
+    """One row per match of each report; the header even if none matched."""
+    fields = ["pattern_id", "position", "engine", "comparisons"]
+    rows = [dict(zip(fields, (rep.pattern_id, pos, rep.engine, rep.comparisons)))
+            for rep in reports for pos in rep.positions]
+    write_csv(path, rows, config, fields)
 
 
 WIDTH, HEIGHT = 640, 360   # chart size in pixels

@@ -6,8 +6,7 @@ verifies candidates symbol by symbol.  Their tables are the textbook ones,
 as plain values: KMP's prefix function is a tuple, and Boyer-Moore's tables
 are a last-occurrence dict and a good-suffix shift tuple.  A stream holds
 its symbols once, in a read-only array of 8-bit (``"byte"``) or 32-bit
-(``"word"``) symbols, which brute force, KMP and Boyer-Moore index through a
-memoryview.
+(``"word"``) symbols, which KMP and Boyer-Moore index through a memoryview.
 
 Every report counts symbol comparisons exactly as the textbook loops make
 them.  Where a loop would make a run of equal steps, each one failed
@@ -20,8 +19,9 @@ length past each symbol the pattern does not contain; their landings are the
 positions of the pattern's symbols, and a jump stays in its residue class
 modulo that shift.  Each skipped shift counts one comparison, and the landing
 a jump stops at counts one more.  The hybrid's windows are independent, so
-it steps all the windows of a block together, as numpy arrays, and verifies
-its candidates one pattern column at a time.
+it steps all the windows of a block together, as numpy arrays.  Brute force
+and the hybrid verify their candidates in one place (:func:`_verify`), one
+pattern column at a time.
 """
 
 from __future__ import annotations
@@ -32,6 +32,8 @@ from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
+
+from .freq import binomial_z
 
 SYMBOL_BITS = {"byte": 8, "word": 32}
 _DTYPES = {"byte": np.dtype(np.uint8), "word": np.dtype(np.uint32)}
@@ -177,27 +179,27 @@ def _next_landing(keys: memoryview, n: int, stride: int, i: int, end: int) -> in
     return landing if landing < end else end + (i - end) % stride
 
 
+def _verify(a: np.ndarray, p: tuple, s: np.ndarray, columns) -> tuple[np.ndarray, int]:
+    """The candidate starts ``s`` whose symbols in ``a`` equal ``p`` at each
+    of ``columns``, tested in order, and the comparisons that makes: one per
+    candidate still standing at each column."""
+    comparisons = 0
+    for j in columns:
+        comparisons += s.size
+        s = s[a[s + j] == p[j]]
+    return s, comparisons
+
+
 def brute_force_search(text: SymbolStream, pattern: WordPattern) -> MatchReport:
     """O(n*m) exhaustive scan; ground truth for the other engines."""
     _check_alphabets(text, pattern)
-    t, p = memoryview(text.array), pattern.symbols
-    n, m = len(t), len(p)
-    stop = n - m + 1
+    p = pattern.symbols
+    stop = len(text) - len(p) + 1
     # every shift makes its first comparison, t[s] == p[0]; only the
     # landings, where it is equal, go on to compare p[1:]
-    positions, comparisons = [], max(stop, 0)
-    for s in _landings(text, (p[0],), 1):
-        if s >= stop:
-            break
-        j = 1
-        while j < m:
-            comparisons += 1
-            if t[s + j] != p[j]:
-                break
-            j += 1
-        if j == m:
-            positions.append(s)
-    return MatchReport(pattern.pattern_id, "brute", positions, comparisons)
+    s = np.asarray(_landings(text, (p[0],), 1))
+    s, comparisons = _verify(text.array, p, s[: np.searchsorted(s, stop)], range(1, len(p)))
+    return MatchReport(pattern.pattern_id, "brute", s.tolist(), max(stop, 0) + comparisons)
 
 
 # --- KMP -------------------------------------------------------------------
@@ -269,9 +271,7 @@ def bm_preprocess(pattern: WordPattern) -> tuple[dict, tuple[int, ...]]:
     length k = 0..m."""
     p = pattern.symbols
     m = len(p)
-    last = {}
-    for i, sym in enumerate(p):
-        last[sym] = i
+    last = {sym: i for i, sym in enumerate(p)}
     # classic border-based strong good-suffix computation, indexed by the
     # mismatch position, then re-indexed by matched-suffix length
     shift = [0] * (m + 1)
@@ -304,19 +304,19 @@ def bm_search(text: SymbolStream, pattern: WordPattern) -> MatchReport:
     full_shift, last_get, tail = gs[m], last.get, m - 1
     p_tail = p[tail]
     # the shift after a mismatch at the last pattern symbol, per pattern
-    # symbol; past any other symbol it is always absent_shift, so the walk
-    # jumps from one position of a pattern symbol to the next
-    tail_shift = {c: max(gs[0], m - 1 - last[c], 1) for c in last}
-    absent_shift = max(gs[0], m)
-    landings = _landings(text, last, absent_shift)
+    # symbol; past any other symbol it is always m (no good-suffix shift
+    # exceeds m, and none is below 1), so the walk jumps from one position
+    # of a pattern symbol to the next
+    tail_shift = {c: max(gs[0], m - 1 - last[c]) for c in last}
+    landings = _landings(text, set(p), m)
     positions, comparisons = [], 0
     s, stop = 0, n - m
     while s <= stop:
         i = s + tail
         symbol = t[i]
         if symbol not in tail_shift:
-            landing = _next_landing(landings, n, absent_shift, i, n)
-            comparisons += (landing - i) // absent_shift
+            landing = _next_landing(landings, n, m, i, n)
+            comparisons += (landing - i) // m
             if landing >= n:
                 break
             s, symbol = landing - tail, t[landing]
@@ -334,7 +334,7 @@ def bm_search(text: SymbolStream, pattern: WordPattern) -> MatchReport:
             positions.append(s)
             s += full_shift
         else:
-            s += max(gs[tail - j], j - last_get(t[s + j], -1), 1)
+            s += max(gs[tail - j], j - last_get(t[s + j], -1))
     return MatchReport(pattern.pattern_id, "bm", positions, comparisons)
 
 
@@ -361,10 +361,13 @@ class HybridConfig:
         return wlen
 
 
-def _hybrid_scan(text: SymbolStream, pattern: WordPattern, wlen: int) -> MatchReport:
-    """One pattern's windowed scan, with windows of ``wlen`` symbols.  The
+def _hybrid_scan(text: SymbolStream, pattern: WordPattern,
+                 config: HybridConfig = HybridConfig()) -> MatchReport:
+    """One pattern's windowed scan, without the flag rule's verdict.  The
     windows are independent, so the ones of a ``_BLOCK`` block step together
     as arrays of their last-symbol positions i, until each reaches its end."""
+    _check_alphabets(text, pattern)
+    wlen = config.window_symbols(text.alphabet, [pattern])
     a, p = text.array, pattern.symbols
     n, m = len(a), len(p)
     # Horspool-style shifts: from the rightmost place among the first m-1
@@ -374,7 +377,7 @@ def _hybrid_scan(text: SymbolStream, pattern: WordPattern, wlen: int) -> MatchRe
     for idx in range(m - 1):
         jump[p[idx]] = m - 1 - idx
     tail = m - 1
-    keys = np.asarray(_landings(text, jump, m))
+    keys = np.asarray(_landings(text, set(p), m))
     symbols = np.array(sorted(jump), a.dtype)
     shifts = np.array([jump[c] for c in sorted(jump)])
     found, comparisons = [], 0
@@ -393,11 +396,8 @@ def _hybrid_scan(text: SymbolStream, pattern: WordPattern, wlen: int) -> MatchRe
             i, end = landing[live], end[live]
             symbol = a[i]
             comparisons += i.size
-            # verify the candidates one pattern column at a time
-            s = i[symbol == p[tail]] - tail
-            for j in range(tail):
-                comparisons += s.size
-                s = s[a[s + j] == p[j]]
+            s, verified = _verify(a, p, i[symbol == p[tail]] - tail, range(tail))
+            comparisons += verified
             found.append(s)
             i = i + shifts[np.searchsorted(symbols, symbol)]
             live = i < end
@@ -407,49 +407,32 @@ def _hybrid_scan(text: SymbolStream, pattern: WordPattern, wlen: int) -> MatchRe
 
 
 def hybrid_search(
-    text: SymbolStream,
-    patterns: list[WordPattern],
-    config: HybridConfig | None = None,
+    text: SymbolStream, patterns: list[WordPattern], config: HybridConfig = HybridConfig()
 ) -> tuple[dict[str, MatchReport], set[str]]:
     """Windowed scan: bad-character jumps locate candidates whose last symbol
-    matches, a left-to-right comparison of the other symbols verifies them, and
-    per-pattern empirical probabilities are compared against 2^-|P| plus a
-    3-sigma sampling-error margin.
+    matches, a left-to-right comparison of the other symbols verifies them,
+    and a pattern is flagged when the binomial z-score of its hits
+    (:func:`freq.binomial_z`, q = 2^-|P| per position) exceeds ``FLAG_SIGMA``.
 
     Returns per-pattern reports plus the set of flagged pattern ids.  The
     flag rule never changes the reported positions; the union of positions
     always equals the brute-force oracle's.
     """
-    if config is None:
-        config = HybridConfig()
-    for p in patterns:
-        _check_alphabets(text, p)
-    wlen = config.window_symbols(text.alphabet, patterns) if patterns else 0
-    n = len(text)
     reports: dict[str, MatchReport] = {}
     flagged: set[str] = set()
     for pattern in patterns:
-        reports[pattern.pattern_id] = report = _hybrid_scan(text, pattern, wlen)
-        positions_scanned = n - len(pattern) + 1
-        if positions_scanned > 0:
-            q = 2.0 ** (-pattern.bit_length)
-            p_hat = len(report.positions) / positions_scanned
-            sigma = math.sqrt(q * (1.0 - q) / positions_scanned)
-            if p_hat > q + FLAG_SIGMA * sigma:
-                flagged.add(pattern.pattern_id)
+        reports[pattern.pattern_id] = report = _hybrid_scan(text, pattern, config)
+        scanned, q = len(text) - len(pattern) + 1, 2.0 ** -pattern.bit_length
+        if scanned > 0 and binomial_z(len(report.positions), scanned, q)[0] > FLAG_SIGMA:
+            flagged.add(pattern.pattern_id)
     return reports, flagged
-
-
-def _hybrid_one(text: SymbolStream, pattern: WordPattern) -> MatchReport:
-    """The hybrid scan of one pattern, without the flag rule's verdict."""
-    return hybrid_search(text, [pattern])[0][pattern.pattern_id]
 
 
 ENGINES = {
     "brute": brute_force_search,
     "kmp": kmp_search,
     "bm": bm_search,
-    "hybrid": _hybrid_one,
+    "hybrid": _hybrid_scan,
 }
 
 

@@ -135,6 +135,16 @@ class TestScan:
                     "deadbeefcafe", "--alphabet", "word"]) == cli.EXIT_USAGE
         assert "matches" not in capsys.readouterr().out
 
+    @pytest.mark.parametrize("engine", sorted(search.ENGINES))
+    def test_zero_match_csv_has_header(self, small_dataset, tmp_path, engine):
+        # the header once went missing with the rows, leaving a bare line
+        out = tmp_path / "scan.csv"
+        assert run(["scan", "--dataset", str(small_dataset), "--pattern", "00" * 32,
+                    "--engine", engine, "--alphabet", "byte", "--out", str(out)]) == cli.EXIT_OK
+        lines = out.read_text().splitlines()
+        assert lines[0].startswith("# config_hash=")
+        assert lines[1:] == ["pattern_id,position,engine,comparisons"]
+
 
 class TestRecordCount:
     """freq and scan check the header and the records against its n_blocks."""
@@ -436,11 +446,40 @@ class TestReport:
         assert "trials must be >= 2^10" in capsys.readouterr().err
         assert list(out.glob("*")) == []
 
+    def test_gen_options_checked_before_any_step(self, tmp_path, capsys):
+        # --blocks 0 once failed in gen, after report had made its out-dir
+        out = tmp_path / "rep"
+        assert run(["report", "--blocks", "0", "--trials", "1024",
+                    "--out-dir", str(out)]) == cli.EXIT_USAGE
+        assert "n_blocks must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_stops_at_first_failure(self, tmp_path, monkeypatch):
         monkeypatch.setattr(cli, "cmd_freq", lambda args: cli.EXIT_ANALYSIS)
         out = tmp_path / "rep"
         assert run(["report", *self.ARGV, "--out-dir", str(out)]) == cli.EXIT_ANALYSIS
         assert os.listdir(out) == ["dataset.txt"]
+
+
+class TestOutOfMemory:
+    """A request too large to allocate is a usage error, not a traceback.
+    The library call raises MemoryError as numpy's would; nothing is
+    allocated for real."""
+
+    @pytest.mark.parametrize("module,target,argv", [
+        (dataset, "generate_dataset", ["gen", "--blocks", "1000000000000", "--out"]),
+        (cli.diff, "avalanche_profile", ["avalanche", "--trials", "100000000000", "--out"]),
+    ], ids=["gen", "avalanche"])
+    def test_memory_error_is_usage_error(self, monkeypatch, tmp_path, capsys,
+                                         module, target, argv):
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 7.28 TiB for an array")
+        monkeypatch.setattr(module, target, exhausted)
+        out = tmp_path / "out"
+        assert run([*argv, str(out)]) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == "usage error: out of memory: Unable to allocate 7.28 TiB for an array\n"
+        assert not out.exists()
 
 
 class TestUsage:

@@ -126,3 +126,16 @@ def test_hybrid_windows(data, factor):
 ], ids=["m1-all", "m1-end", "m1-absent", "m-gt-n", "empty", "end", "aaab", "overlap"])
 def test_edge_cases(t, p, alphabet):
     assert_engines_match_references(t, p, alphabet)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_hybrid_engine_equals_hybrid_search(data):
+    """``search(..., "hybrid")`` and ``hybrid_search`` run the windowed scan
+    through two entries; both give one report (positions, comparisons and
+    windows), in both alphabets."""
+    alphabet, palette = data.draw(palettes(max_size=data.draw(st.sampled_from([3, 256]))))
+    t = tuple(data.draw(st.lists(st.sampled_from(palette), max_size=300)))
+    text = SymbolStream(t, alphabet)
+    pattern = WordPattern(data.draw(patterns_for(t, palette)), "p", alphabet)
+    assert search(text, pattern, "hybrid") == hybrid_search(text, [pattern])[0]["p"]

@@ -199,6 +199,15 @@ class TestHybrid:
         assert "planted" in flagged
         assert len(reports["planted"].positions) >= 40
 
+    def test_flag_rule_past_float_underflow(self):
+        # 2^-1088 underflows to 0.0: any hit of a 136-byte pattern flags it
+        text = mktext(list(range(136)) * 2)
+        config = HybridConfig(window_bits=2048)
+        present, absent = mkpat(list(range(136)), pid="in"), mkpat([7] * 136, pid="out")
+        reports, flagged = hybrid_search(text, [present, absent], config)
+        assert reports["in"].positions == [0, 136] and reports["out"].positions == []
+        assert flagged == {"in"}
+
     def test_uniform_background_not_flagged(self):
         rng = random.Random(6)
         text = mktext([rng.randrange(256) for _ in range(5000)])
