@@ -17,6 +17,7 @@ import hashlib
 import os
 import sys
 import time
+import warnings
 from pathlib import Path
 
 from . import cipher, dataset, diff, freq, report, search
@@ -123,7 +124,13 @@ def cmd_freq(args) -> int:
     failure = False
     for m in args.m:
         table = freq.extract_mgrams(data, freq.MGramSpec(m_bits=m))
-        stat, ok = freq.chi_square(table, cfg)
+        # one plain stderr line per low-count warning, not warnings' display
+        # of this file's path, line number and source line
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            stat, ok = freq.chi_square(table, cfg)
+        for warning in caught:
+            print(f"warning: {warning.message}", file=sys.stderr)
         hits = freq.scan_significant(table, cfg)
         ranked = freq.top_k(table, args.top)
         rows = []

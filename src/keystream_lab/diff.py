@@ -8,9 +8,12 @@ near-collision rate: output difference weight at most ``partial_threshold_bits``
 (weight zero, only reachable with delta = 0, is tracked separately).
 
 Every paired evaluation (collision trials, avalanche and the sweep's
-diffusion half) runs through one kernel, ``_paired_rounds``: x and one
+diffusion half) runs through one kernel, ``_paired_chunks``: x and one
 x' = x xor delta per delta run in place, ``_LANES`` lanes at a time, and
-y xor y' is read off after each reported round.  The avalanche counts the
+y xor y' is read off after each reported round.  The working set is fixed:
+collision trials and the avalanche read each chunk's words straight from
+the rng stream (``_drawn_chunks``), and x', y xor y' and the chunk words
+sit in buffers allocated once per call.  The avalanche counts the
 output-bit flips of each chunk with one positional popcount,
 ``_bit_counts``, whose byte fields each sum at most 255 lanes.
 """
@@ -26,7 +29,7 @@ from ._tails import binom_upper
 from .cipher import ROTATIONS, _qrf_lines, rotl32, MASK32, _check_words
 
 _IDEAL_BOUND = 2.0 ** -32
-_BATCH = 1 << 20    # trials per rng draw; fixed, as the rng draw order depends on it
+_BATCH = 1 << 20    # trials per batch; fixed, as the order of the rng words depends on it
 # lanes per kernel chunk, and per avalanche row group, whose flips _bit_counts
 # sums in blocks of _FIELD_LANES lanes; measured on the default diff: 2^13
 # takes 25 % longer, 2^15 10 % less but peaks 2.5 MiB higher
@@ -34,23 +37,102 @@ _LANES = 1 << 14
 _FIELD_LANES = 255  # lanes per _bit_counts block: a byte field holds 255 one-bits
 
 
-def _paired_rounds(x, deltas, report, rotations=ROTATIONS, variant="native", word_bits=32):
-    """Run the (4, ..., n) uint32 array x, overwritten with y, and x xor d
-    for each d of ``deltas`` (arrays that broadcast to x) through
-    ``max(report)`` quarter rounds, ``_LANES`` lanes of the last axis at a
-    time.  After each round r in ``report`` (0 included), yield (r, lanes,
-    ds): ds yields y xor y' over ``lanes`` for each delta in turn."""
-    deltas = [np.broadcast_to(d, x.shape) for d in deltas]
-    for start in range(0, x.shape[-1], _LANES):
-        lanes = slice(start, start + _LANES)
-        y = x[..., lanes]
-        yps = [y ^ d[..., lanes] for d in deltas]
+def _lane_chunks(n: int):
+    """Slices of at most ``_LANES`` lanes covering range(n), in order."""
+    return (slice(start, min(start + _LANES, n)) for start in range(0, n, _LANES))
+
+
+def _words(bitgen, count: int, skip: int = 0) -> np.ndarray:
+    """Words ``skip`` to ``skip + count - 1`` of the uint32 stream that
+    ``Generator(bitgen).integers(0, 2**32, dtype=np.uint32)`` draws next,
+    read as the little-endian halves of PCG64's raw 64-bit outputs: word 2i
+    is the low half of output i, word 2i + 1 its high half.  PCG64 is an LCG
+    underneath, so ``advance`` reaches output ``skip // 2`` in O(log skip)
+    steps (O'Neill, HMC-CS-2014-0905).  ``bitgen`` must hold no buffered
+    half word; it is left after the last output read, which for an even
+    ``skip + count`` is where ``integers`` would leave it."""
+    bitgen.advance(skip // 2)
+    odd = skip % 2
+    raw = bitgen.random_raw((odd + count + 1) // 2)
+    return raw.astype("<u8", copy=False).view("<u4")[odd:odd + count].astype(np.uint32, copy=False)
+
+
+def _drawn_chunks(rng, draws, word_bits: int = 32):
+    """Draw ``rng.integers(0, 1 << word_bits, (rows, n), dtype=np.uint32)``
+    for each (rows, n) of ``draws`` in turn, and yield (j, x) for each
+    chunk of draw j, in order: x is the (rows, k) array of its next k
+    columns, k at most ``_LANES``.
+
+    At 32 bits no draw is held whole.  Row i's words for lanes [s, s + k)
+    sit at offset i * n + s of the draw's stream, and each chunk reads them
+    with :func:`_words` from a copy of rng's state into one buffer, refilled
+    per chunk: x is valid until the generator resumes.  After each draw rng
+    is advanced to where ``integers`` would leave it, so ``rows * n`` must be
+    even.  Narrower words come from rejection sampling, which cannot be
+    jumped, and each of their draws is taken whole.
+    """
+    if word_bits < 32:
+        for j, (rows, n) in enumerate(draws):
+            x = rng.integers(0, 1 << word_bits, (rows, n), dtype=np.uint32)
+            for lanes in _lane_chunks(n):
+                yield j, x[:, lanes]
+        return
+    buf = np.empty(max(rows * min(n, _LANES) for rows, n in draws), dtype=np.uint32)
+    bitgen = np.random.PCG64(0)
+    for j, (rows, n) in enumerate(draws):
+        state = rng.bit_generator.state
+        for lanes in _lane_chunks(n):
+            k = lanes.stop - lanes.start
+            x = buf[:rows * k].reshape(rows, k)
+            for i, row in enumerate(x):
+                bitgen.state = state
+                row[:] = _words(bitgen, k, i * n + lanes.start)
+            yield j, x
+        rng.bit_generator.advance(rows * n // 2)
+
+
+def _quads(x) -> np.ndarray:
+    """The (4 * m, k) chunk x as a (4, m, k) view: [i, j, t] is word i of
+    quad j of lane t."""
+    return x.reshape(-1, 4, x.shape[-1]).transpose(1, 0, 2)
+
+
+def _paired_chunks(chunks, report, rotations=ROTATIONS, variant="native", word_bits=32):
+    """The paired-evaluation kernel.  ``chunks`` yields (tag, y, deltas): y
+    a (4, ..., k) uint32 array of at most ``_LANES`` lanes per row,
+    overwritten in place, and deltas the arrays d that broadcast to it.
+    Each y and its y' = y xor d for each d run through ``max(report)``
+    quarter rounds; after each round r in ``report`` (0 included), yield
+    (r, tag, ds): ds yields y xor y' for each delta in turn.
+
+    y' and y xor y' live in one buffer, allocated on the first chunk (again
+    only for a larger one) and refilled per chunk, so a yielded difference
+    is valid until the generator resumes.
+    """
+    buf = np.empty(0, dtype=np.uint32)
+    for tag, y, deltas in chunks:
+        size = (len(deltas) + 1) * y.size
+        if buf.size < size:
+            buf = np.empty(size, dtype=np.uint32)
+        *yps, d = buf[:size].reshape(len(deltas) + 1, *y.shape)
+        for yp, delta in zip(yps, deltas):
+            np.bitwise_xor(y, delta, out=yp)
         for r in range(max(report) + 1):
             if r:
                 for v in (y, *yps):
                     _qrf_lines(v, rotations, variant, word_bits)
             if r in report:
-                yield r, lanes, (y ^ yp for yp in yps)
+                yield r, tag, (np.bitwise_xor(y, yp, out=d) for yp in yps)
+
+
+def _paired_rounds(x, deltas, report, rotations=ROTATIONS, variant="native", word_bits=32):
+    """:func:`_paired_chunks` over the (4, ..., n) uint32 array x, overwritten
+    with y, ``_LANES`` lanes of the last axis at a time, each delta an array
+    that broadcasts to x; the tag of each chunk is its slice of lanes."""
+    deltas = [np.broadcast_to(d, x.shape) for d in deltas]
+    chunks = ((lanes, x[..., lanes], [d[..., lanes] for d in deltas])
+              for lanes in _lane_chunks(x.shape[-1]))
+    return _paired_chunks(chunks, report, rotations, variant, word_bits)
 
 
 def _bit_counts(d) -> np.ndarray:
@@ -175,22 +257,35 @@ def collision_trials(deltas, cfg: TrialConfig, rotations=ROTATIONS,
     near = full.copy()
     for n_quads in (1, 2):
         group = [k for k, delta in enumerate(deltas) if len(delta) == 4 * n_quads and any(delta)]
-        # dqs[j][i, q, 0] is word i of quad q of the group's j-th difference
-        dqs = [np.array(deltas[k], dtype=np.uint32).reshape(n_quads, 4).T[:, :, None]
-               for k in group]
-        rng = np.random.default_rng(cfg.rng_seed)
-        for start in range(0, cfg.trials if group else 0, _BATCH):
-            n = min(_BATCH, cfg.trials - start)
-            # x[i, q, t] is word i of quad q of trial t
-            x = rng.integers(0, 1 << word_bits, (n_quads, 4, n), dtype=np.uint32)
-            for r, _, ds in _paired_rounds(x.transpose(1, 0, 2), dqs, cfg.rounds,
-                                           rotations, word_bits=word_bits):
-                for k, d in zip(group, ds):
-                    hw = np.bitwise_count(d).sum(axis=(0, 1), dtype=np.uint16)
-                    full[k, r] += np.count_nonzero(hw == 0)
-                    near[k, r] += np.count_nonzero(hw <= cfg.partial_threshold_bits)
+        if group:
+            full[group], near[group] = _weight_counts(
+                [deltas[k] for k in group], cfg, rotations, word_bits)
     return [{r: _make_stats(r, cfg.trials, int(f[r]), int(m[r] - f[r])) for r in cfg.rounds}
             for f, m in zip(full, near)]
+
+
+def _weight_counts(deltas, cfg: TrialConfig, rotations, word_bits: int):
+    """(full, near): [k, r] counts the trials of ``deltas[k]``, all of one
+    width, whose output difference weight after r rounds is 0, and at most
+    the threshold.  Batch b of n trials is the (n_quads, 4, n) draw
+    ``rng.integers(0, 1 << word_bits, ...)`` from ``cfg.rng_seed``, read
+    chunk by chunk; the buffers of this call are freed on return."""
+    n_quads = len(deltas[0]) // 4
+    full = np.zeros((len(deltas), max(cfg.rounds) + 1), dtype=np.int64)
+    near = full.copy()
+    # dqs[k][i, q, 0] is word i of quad q of difference k
+    dqs = [np.array(delta, dtype=np.uint32).reshape(n_quads, 4).T[:, :, None]
+           for delta in deltas]
+    draws = [(4 * n_quads, min(_BATCH, cfg.trials - start))
+             for start in range(0, cfg.trials, _BATCH)]
+    rng = np.random.default_rng(cfg.rng_seed)
+    chunks = ((None, _quads(x), dqs) for _, x in _drawn_chunks(rng, draws, word_bits))
+    for r, _, ds in _paired_chunks(chunks, cfg.rounds, rotations, word_bits=word_bits):
+        for k, d in enumerate(ds):
+            hw = np.bitwise_count(d).sum(axis=(0, 1), dtype=np.uint16)
+            full[k, r] += np.count_nonzero(hw == 0)
+            near[k, r] += np.count_nonzero(hw <= cfg.partial_threshold_bits)
+    return full, near
 
 
 def collision_trial_batch(delta, cfg: TrialConfig, rotations=ROTATIONS,
@@ -259,8 +354,9 @@ def avalanche_profile(
 
     Rows run in groups of ``max(1, _LANES // trials)``, side by side as one
     (4, rows, trials) lane array through the kernel, the flipped bit of each
-    row broadcast over its trials.  A group's one (rows, 4, trials) draw is
-    the same rng stream as a (4, trials) draw per row.  Flips are counted
+    row broadcast over its trials.  A group's words are one
+    (rows, 4, trials) draw, the same rng stream as a (4, trials) draw per
+    row, read chunk by chunk by :func:`_drawn_chunks`.  Flips are counted
     exactly on each kernel chunk by :func:`_bit_counts`, a positional
     popcount whose byte fields sum at most 255 lanes at a time.
     """
@@ -270,16 +366,18 @@ def avalanche_profile(
         raise ValueError("rounds must be >= 0")
     rng = np.random.default_rng(rng_seed)
     counts = np.zeros((128, 128), dtype=np.int64)
+    # flip[:, i] flips input bit i: bit i % 32 of word i // 32
+    bits = np.arange(128)
+    flip = np.zeros((4, 128, 1), dtype=np.uint32)
+    flip[bits // 32, bits, 0] = np.uint32(1) << (bits % 32).astype(np.uint32)
     step = max(1, _LANES // trials)
-    for start in range(0, 128, step):
-        stop = min(start + step, 128)
-        rows, k = np.arange(start, stop), stop - start
-        # x[i, j, t] is word i of trial t of row rows[j]
-        x = rng.integers(0, 1 << 32, (k, 4, trials), dtype=np.uint32).transpose(1, 0, 2)
-        flip = np.zeros((4, k, 1), dtype=np.uint32)
-        flip[rows // 32, np.arange(k), 0] = np.uint32(1) << (rows % 32).astype(np.uint32)
-        for _, _, (dl,) in _paired_rounds(x, [flip], (rounds,), rotations, qrf_variant):
-            counts[start:stop] += _bit_counts(dl)
+    groups = [slice(start, min(start + step, 128)) for start in range(0, 128, step)]
+    draws = [(4 * (rows.stop - rows.start), trials) for rows in groups]
+    # quad j of a chunk is the group's row j
+    chunks = ((groups[g], _quads(x), [flip[:, groups[g]]])
+              for g, x in _drawn_chunks(rng, draws))
+    for _, rows, (dl,) in _paired_chunks(chunks, (rounds,), rotations, qrf_variant):
+        counts[rows] += _bit_counts(dl)
     return AvalancheProfile(counts / trials, trials, rounds)
 
 
@@ -316,21 +414,26 @@ def rotation_sweep(constant_sets, cfg: TrialConfig) -> list[SweepResult]:
             raise ValueError(f"rotation set {rotations} must be six amounts in [1, 31]")
         delta = (0, 0, 0, 0x80000000)
         collision = collision_trial_batch(delta, cfg, rotations)[max_round]
-        # diffusion: weight of the output difference for a single random
-        # input bit flip, after max_round rounds
-        rng = np.random.default_rng(cfg.rng_seed ^ 0x5EED)
-        n = min(cfg.trials, 1 << 16)
-        x = rng.integers(0, 1 << 32, (4, n), dtype=np.uint32)
-        word = rng.integers(0, 4, n)
-        bit = rng.integers(0, 32, n, dtype=np.uint32)
-        flip = np.where(word == np.arange(4)[:, None], np.uint32(1) << bit, np.uint32(0))
-        hw = np.empty(n, dtype=np.int64)
-        for _, lanes, (d,) in _paired_rounds(x, [flip], (max_round,), rotations):
-            hw[lanes] = np.bitwise_count(d).sum(axis=0, dtype=np.int64)
+        hw = _flipped_bits(min(cfg.trials, 1 << 16), max_round, rotations, cfg.rng_seed)
         mean = float(hw.mean())
-        se = float(hw.std(ddof=1) / math.sqrt(n))
+        se = float(hw.std(ddof=1) / math.sqrt(len(hw)))
         results.append(SweepResult(rotations, collision, mean, se))
     return results
+
+
+def _flipped_bits(n: int, rounds: int, rotations, rng_seed: int) -> np.ndarray:
+    """Weight of the output difference after ``rounds`` rounds for n random
+    quads, each with one random input bit flipped; the draws and kernel
+    buffers are freed on return."""
+    rng = np.random.default_rng(rng_seed ^ 0x5EED)
+    x = _words(rng.bit_generator, 4 * n).reshape(4, n)
+    word = rng.integers(0, 4, n)
+    bit = rng.integers(0, 32, n, dtype=np.uint32)
+    flip = np.where(word == np.arange(4)[:, None], np.uint32(1) << bit, np.uint32(0))
+    hw = np.empty(n, dtype=np.int64)
+    for _, lanes, (d,) in _paired_rounds(x, [flip], (rounds,), rotations):
+        hw[lanes] = np.bitwise_count(d).sum(axis=0, dtype=np.int64)
+    return hw
 
 
 @dataclass

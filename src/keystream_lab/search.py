@@ -416,8 +416,13 @@ def hybrid_search(
 
     Returns per-pattern reports plus the set of flagged pattern ids.  The
     flag rule never changes the reported positions; the union of positions
-    always equals the brute-force oracle's.
+    always equals the brute-force oracle's.  Reports are keyed by pattern
+    id, so a repeated id is rejected before any scan.
     """
+    ids = [pattern.pattern_id for pattern in patterns]
+    repeated = next((i for k, i in enumerate(ids) if i in ids[:k]), None)
+    if repeated is not None:
+        raise ValueError(f"pattern id {repeated!r} is given more than once")
     reports: dict[str, MatchReport] = {}
     flagged: set[str] = set()
     for pattern in patterns:

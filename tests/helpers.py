@@ -1,10 +1,11 @@
 """Independent oracles used to cross-check the package implementation.
 
 These are deliberate re-transcriptions, kept separate from the package code
-paths they verify.
+paths they verify.  :func:`traced_peak` measures a call's working set.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 
@@ -253,3 +254,21 @@ def collision_reference(delta, cfg, qrf_vec, batch, word_bits=32):
                 counts[r][0] += int(np.count_nonzero(hw == 0))
                 counts[r][1] += int(np.count_nonzero((hw > 0) & (hw <= cfg.partial_threshold_bits)))
     return {r: tuple(c) for r, c in counts.items()}
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes that tracemalloc traces above the starting level while
+    ``fn()`` runs.  ``fn`` is called once untraced first, so one-time
+    imports and caches are not counted."""
+    fn()
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()

@@ -220,6 +220,17 @@ class TestFreq:
         assert not outdir.exists()
         assert "chi2" not in capsys.readouterr().out
 
+    def test_low_count_warning_is_one_plain_line(self, tmp_path, capsys):
+        # 100 blocks hold 14,399 16-bit m-grams for 65,536 cells: 0.22 a cell
+        path = tmp_path / "ds.txt"
+        assert run(["gen", "--blocks", "100", "--seed", "1", "--out", str(path)]) == 0
+        capsys.readouterr()
+        assert run(["freq", "--dataset", str(path), "--m", "8", "16",
+                    "--out-dir", str(tmp_path / "r")]) == cli.EXIT_OK
+        assert capsys.readouterr().err.splitlines() == [
+            "warning: expected cell count 0.22 < 5; chi-square approximation is weak "
+            "at this sample size"]
+
     def test_csv_has_config_hash(self, small_dataset, tmp_path):
         outdir = tmp_path / "reports"
         run(["freq", "--dataset", str(small_dataset), "--m", "8",

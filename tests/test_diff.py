@@ -2,10 +2,11 @@ import hashlib
 import itertools
 import math
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy import special
 
 from keystream_lab import cli, diff
@@ -23,7 +24,9 @@ from keystream_lab.diff import (
     wilson_interval,
 )
 
-from helpers import avalanche_reference, collision_reference, qrf_forward, qrf_small
+from helpers import (
+    avalanche_reference, collision_reference, qrf_forward, qrf_small, traced_peak,
+)
 
 
 class TestSeedDelta:
@@ -219,6 +222,45 @@ class TestKernel:
         assert len(calls) == 7 * 2 * 4
 
 
+class TestDrawnChunks:
+    """The chunked reader returns the words of the batch draws it replaces,
+    and leaves the generator where they leave it."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 1 << 32),
+           draws=st.lists(st.tuples(st.integers(1, 9), st.integers(1, 700)),
+                          min_size=1, max_size=4),
+           width=st.integers(1, 300))
+    @example(seed=0, draws=[(4, 600), (8, 333), (4, 7)], width=100)   # width divides 600
+    @example(seed=1, draws=[(3, 2), (2, 5), (5, 4)], width=300)       # one chunk per draw
+    @example(seed=2, draws=[(1, 2), (1, 1000)], width=1)              # one lane per chunk
+    def test_matches_batch_draws(self, seed, draws, width):
+        assume(all(rows * n % 2 == 0 for rows, n in draws))
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        expect = [ref.integers(0, 1 << 32, (rows, n), dtype=np.uint32) for rows, n in draws]
+        got = [np.zeros((rows, n), dtype=np.uint32) for rows, n in draws]
+        seen = [0] * len(draws)
+        with mock.patch.object(diff, "_LANES", width):
+            for j, x in diff._drawn_chunks(rng, draws):
+                k = x.shape[1]
+                assert x.shape[0] == draws[j][0] and 0 < k <= width and x.dtype == np.uint32
+                got[j][:, seen[j]:seen[j] + k] = x
+                seen[j] += k
+        assert seen == [n for _, n in draws]
+        for g, e in zip(got, expect):
+            assert np.array_equal(g, e)
+        # the next draws agree, an odd number of words included
+        for draw in (lambda g: g.integers(0, 1 << 32, 5, dtype=np.uint32),
+                     lambda g: g.random(3)):
+            assert np.array_equal(draw(rng), draw(ref))
+
+    @pytest.mark.parametrize("skip, count", [(0, 2), (1, 2), (5, 1), (7, 10)])
+    def test_words_at_an_offset(self, skip, count):
+        expect = np.random.default_rng(3).integers(0, 1 << 32, skip + count, dtype=np.uint32)
+        words = diff._words(np.random.default_rng(3).bit_generator, count, skip)
+        assert np.array_equal(words, expect[skip:])
+
+
 class TestSharedTrajectory:
     """``collision_trials`` equals one ``collision_trial_batch`` per delta,
     and both equal the per-delta reference loop."""
@@ -280,6 +322,22 @@ class TestSharedTrajectory:
             k, n = int(row["collisions"]), int(row["trials"])
             assert math.isclose(float(row["p_upper"]),
                                 special.betaincinv(k + 1, n - k, 0.95), rel_tol=1e-12)
+
+
+class TestWorkingSet:
+    """The kernel's working set does not grow with the trial count."""
+
+    def test_collision_trials_peak(self):
+        # the draw of a whole batch alone was 4 MiB at 2^18 trials
+        cfg = TrialConfig(trials=1 << 18, rounds=(1, 2))
+        peak = traced_peak(lambda: collision_trials(default_delta_set(), cfg))
+        assert peak < 3 << 20
+
+    def test_avalanche_peak(self):
+        # a row's words were drawn whole: 1.6 MB at 10^5 trials, twice over
+        # while the next row's were drawn
+        peak = traced_peak(lambda: avalanche_profile(1, 100_000))
+        assert peak < 2 << 20
 
 
 class TestAvalanche:

@@ -172,6 +172,15 @@ class TestHybrid:
         assert rep.positions == [0, 2, 3]
         assert rep.comparisons == 5
 
+    def test_repeated_pattern_id_rejected_before_any_scan(self, monkeypatch):
+        # reports are keyed by id: the second pattern's would replace the first's
+        scans = []
+        monkeypatch.setattr("keystream_lab.search._hybrid_scan", lambda *a: scans.append(a))
+        text = SymbolStream.from_bytes(bytes([1, 2, 3, 1, 2, 9]))
+        with pytest.raises(ValueError, match="'1-2'"):
+            hybrid_search(text, [mkpat([1, 2]), mkpat([1, 2, 3], pid="1-2")])
+        assert scans == []
+
     def test_word_window_capacity(self):
         cfg = HybridConfig(window_bits=256)
         assert cfg.window_symbols("word") == 8
