@@ -117,48 +117,53 @@ def cmd_freq(args) -> int:
     if args.top < 1:
         raise ValueError("--top must be >= 1")
     data, dataset_id = _load_dataset(args.dataset)
+    for m in args.m:
+        freq.check_length(len(data), m)
     run_config = _run_config(args, dataset_id)
-    cfg = freq.SignificanceConfig()
     outdir = Path(args.out_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    failure = False
-    for m in args.m:
-        table = freq.extract_mgrams(data, freq.MGramSpec(m_bits=m))
-        # one plain stderr line per low-count warning, not warnings' display
-        # of this file's path, line number and source line
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            stat, ok = freq.chi_square(table, cfg)
-        for warning in caught:
-            print(f"warning: {warning.message}", file=sys.stderr)
-        hits = freq.scan_significant(table, cfg)
-        ranked = freq.top_k(table, args.top)
-        rows = []
-        for pattern, count in ranked:
-            zres = freq.z_score(table, pattern, cfg)
-            rows.append(
-                {
-                    "pattern_hex": f"{pattern:0{m // 4}x}",
-                    "count": count,
-                    "z": f"{zres.z:.4f}",
-                    "significant": zres.significant,
-                }
-            )
-        report.write_csv(outdir / f"freq_m{m}.csv", rows, run_config)
-        report.write_bar_chart(
-            outdir / f"top{args.top}_m{m}.svg",
-            [r["pattern_hex"] for r in rows],
-            [r["count"] for r in rows],
-            f"top {args.top} {m}-bit patterns",
-        )
-        print(f"m={m}: N={table.n} chi2={stat:.1f} pass={ok} "
-              f"significant_cells={len(hits)}")
-        if args.baseline and (hits or not ok):
-            failure = True
-    if failure:
+    # a list, not a generator: every width runs whatever the verdicts
+    failures = [_freq_width(data, m, args, run_config, outdir) for m in args.m]
+    if any(failures):
         print("significance flag raised on baseline data", file=sys.stderr)
         return EXIT_ANALYSIS
     return EXIT_OK
+
+
+def _freq_width(data: bytes, m: int, args, run_config: dict, outdir: Path) -> bool:
+    """Count, test and report the m-bit grams; True if ``--baseline`` fails.
+    One width's table is freed on return, before the next is counted."""
+    cfg = freq.SignificanceConfig()
+    table = freq.extract_mgrams(data, freq.MGramSpec(m_bits=m))
+    # one plain stderr line per low-count warning, not warnings' display
+    # of this file's path, line number and source line
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        stat, ok = freq.chi_square(table, cfg)
+    for warning in caught:
+        print(f"warning: {warning.message}", file=sys.stderr)
+    hits = freq.scan_significant(table, cfg)
+    rows = []
+    for pattern, count in freq.top_k(table, args.top):
+        zres = freq.z_score(table, pattern, cfg)
+        rows.append(
+            {
+                "pattern_hex": f"{pattern:0{m // 4}x}",
+                "count": count,
+                "z": f"{zres.z:.4f}",
+                "significant": zres.significant,
+            }
+        )
+    report.write_csv(outdir / f"freq_m{m}.csv", rows, run_config)
+    report.write_bar_chart(
+        outdir / f"top{args.top}_m{m}.svg",
+        [r["pattern_hex"] for r in rows],
+        [r["count"] for r in rows],
+        f"top {args.top} {m}-bit patterns",
+    )
+    print(f"m={m}: N={table.n} chi2={stat:.1f} pass={ok} "
+          f"significant_cells={len(hits)}")
+    return args.baseline and bool(hits or not ok)
 
 
 def _trial_config(args) -> diff.TrialConfig:

@@ -109,7 +109,8 @@ class DatasetConfig:
 
 
 HEX_CHARS = STATE_WORDS * 8
-CHUNK_BLOCKS = 4096  # blocks per step in generate_dataset, persist and load
+CHUNK_BLOCKS = 4096  # blocks per cipher batch in generate_dataset
+RECORD_SLICE = 256  # records per step in persist and load
 
 
 def _as_blocks(blocks) -> np.ndarray:
@@ -174,8 +175,8 @@ def dataset_bytes(blocks) -> bytes:
 def persist(blocks, cfg: DatasetConfig, path) -> None:
     with open(path, "w") as fh:
         fh.write(json.dumps(cfg.as_dict(), sort_keys=True) + "\n")
-        for start in range(0, len(blocks), CHUNK_BLOCKS):
-            fh.write("\n".join(to_hex(blocks[start: start + CHUNK_BLOCKS])) + "\n")
+        for start in range(0, len(blocks), RECORD_SLICE):
+            fh.write("\n".join(to_hex(blocks[start: start + RECORD_SLICE])) + "\n")
 
 
 def _decode(numbered: list[tuple[int, str]]) -> np.ndarray:
@@ -209,15 +210,27 @@ def load(path) -> tuple[np.ndarray, dict]:
         if first and not (type(version) is int and version == FORMAT_VERSION):
             raise DatasetFormatError(
                 f"header must be a JSON object with format_version {FORMAT_VERSION}", 1)
-        chunks, lineno = [np.empty((0, STATE_WORDS), dtype=np.uint32)], 2
-        while lines := list(itertools.islice(fh, CHUNK_BLOCKS)):
-            chunks.append(_decode([(i, line.strip()) for i, line in
-                                   enumerate(lines, lineno) if line.strip()]))
+        # the header's n_blocks sizes the array, capped by the records the
+        # file can hold (each line has 288 digits and a newline, the last
+        # maybe not); records past that room, as in a file without n_blocks
+        # read from a pipe, are kept aside and joined on at the end
+        expected = header.get("n_blocks")
+        room = os.fstat(fh.fileno()).st_size // (HEX_CHARS + 1) + 1
+        if type(expected) is int and 0 <= expected < room:
+            room = expected
+        blocks = np.empty((room, STATE_WORDS), dtype=np.uint32)
+        spill, count, lineno = [], 0, 2
+        while lines := list(itertools.islice(fh, RECORD_SLICE)):
+            part = _decode([(i, record) for i, line in enumerate(lines, lineno)
+                            if (record := line.strip())])
+            fit = blocks[count: count + len(part)]
+            fit[...] = part[: len(fit)]
+            if len(fit) < len(part):
+                spill.append(part[len(fit):])
+            count += len(part)
             lineno += len(lines)
-    blocks = np.concatenate(chunks)
-    expected = header.get("n_blocks")
-    if expected is not None and not (type(expected) is int and expected == len(blocks)):
+    if expected is not None and not (type(expected) is int and expected == count):
         raise DatasetFormatError(
             f"header says n_blocks={json.dumps(expected)}, but the file holds "
-            f"{len(blocks)} records", 1)
-    return blocks, header
+            f"{count} records", 1)
+    return (np.concatenate((blocks, *spill)) if spill else blocks[:count]), header

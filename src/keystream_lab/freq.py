@@ -21,7 +21,7 @@ import numpy as np
 from ._tails import chdtri, ndtri
 
 FOLD_BUCKETS = 1 << 16
-COUNT_CHUNK = 1 << 22  # grams per bincount call
+COUNT_CHUNK = 1 << 16  # grams per bincount call, values per fold or top_k step
 
 
 @dataclass(frozen=True)
@@ -34,6 +34,12 @@ class MGramSpec:
             raise ValueError("m_bits must be one of 8, 16, 32")
 
 
+def _chunks(array: np.ndarray):
+    """(offset, slice) pairs that cover ``array`` ``COUNT_CHUNK`` at a time."""
+    for start in range(0, len(array), COUNT_CHUNK):
+        yield start, array[start: start + COUNT_CHUNK]
+
+
 def _cell_of(patterns, m_bits: int):
     """The cell of each pattern: itself for m=8/16, its XOR-fold bucket for
     m=32.  Takes an int or a uint32 array."""
@@ -43,18 +49,24 @@ def _cell_of(patterns, m_bits: int):
 @dataclass
 class FrequencyTable:
     """Distinct m-gram ``values`` (ascending) and their ``counts``, of ``n``,
-    with the dense ``cells`` the significance tests read."""
+    with the dense ``cells`` the significance tests read.  ``cells`` are built
+    from the values and counts unless a caller that has counted them passes
+    them."""
 
     values: np.ndarray
     counts: np.ndarray
     n: int
     m_bits: int
-    cells: np.ndarray = field(init=False, repr=False)
+    cells: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
+        if self.cells is not None:
+            return
         size = FOLD_BUCKETS if self.m_bits == 32 else 1 << self.m_bits
         self.cells = np.zeros(size, dtype=np.int64)
-        np.add.at(self.cells, _cell_of(self.values, self.m_bits), self.counts)
+        for start, values in _chunks(self.values):
+            np.add.at(self.cells, _cell_of(values, self.m_bits),
+                      self.counts[start: start + len(values)])
 
     def cell(self, pattern: int) -> int:
         """Index in ``cells`` of the cell that holds ``pattern``."""
@@ -89,35 +101,61 @@ class ZScoreResult:
     significant: bool
 
 
-def _bincount(grams: np.ndarray, size: int) -> np.ndarray:
-    # bincount widens its input to intp, so count in chunks to bound the copy
-    cells = np.zeros(size, dtype=np.int64)
-    for start in range(0, len(grams), COUNT_CHUNK):
-        cells += np.bincount(grams[start: start + COUNT_CHUNK], minlength=size)
-    return cells
+def _bincount(cells: np.ndarray, grams: np.ndarray) -> None:
+    """Add the count of each gram to ``cells``.  bincount widens its input to
+    intp, so it runs in chunks to bound that copy."""
+    for _, chunk in _chunks(grams):
+        cells += np.bincount(chunk, minlength=len(cells))
+
+
+def _sorted_runs(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct ``words`` (ascending) and their counts, from one sorted
+    copy; each temporary is freed before the next is allocated."""
+    words = np.sort(words)
+    first = np.empty(len(words), dtype=bool)  # where each run of one value starts
+    first[0] = True
+    np.not_equal(words[1:], words[:-1], out=first[1:])
+    values, n = words[first], len(words)
+    del words
+    counts = np.flatnonzero(first)
+    del first
+    # run starts become run lengths in place: ascending chunks, each reading
+    # the start one past its end before the next chunk overwrites it
+    for start in range(0, len(counts) - 1, COUNT_CHUNK):
+        stop = min(start + COUNT_CHUNK, len(counts) - 1)
+        counts[start:stop] = counts[start + 1: stop + 1] - counts[start:stop]
+    counts[-1] = n - counts[-1]
+    return values, counts
+
+
+def check_length(n_bytes: int, m_bits: int) -> None:
+    """Reject an input of ``n_bytes`` that holds no whole ``m_bits`` gram."""
+    if n_bytes < m_bits // 8:
+        raise ValueError(f"input shorter than one {m_bits}-bit gram")
 
 
 def extract_mgrams(keystream: bytes, spec: MGramSpec) -> FrequencyTable:
     """Count m-grams; overlapping extraction slides one byte (one word for
     m=32)."""
-    m_bytes = spec.m_bits // 8
-    if len(keystream) < m_bytes:
-        raise ValueError(f"input shorter than one {spec.m_bits}-bit gram")
+    check_length(len(keystream), spec.m_bits)
     data = np.frombuffer(keystream, dtype=np.uint8)
-    if spec.m_bits == 8:
-        cells, n = _bincount(data, 256), len(data)
-    elif spec.m_bits == 16:
-        # big-endian pairs at even offsets, and at odd offsets when overlapping
-        grams = [data[i: i + (len(data) - i) // 2 * 2].view(">u2")
-                 for i in ((0, 1) if spec.overlapping else (0,))]
-        cells, n = sum(_bincount(g, 1 << 16) for g in grams), sum(map(len, grams))
-    else:
+    if spec.m_bits == 32:
         # m=32 slides word-aligned regardless of the overlapping flag
         words = data[: len(data) // 4 * 4].view("<u4")
-        values, counts = np.unique(words, return_counts=True)
-        return FrequencyTable(values, counts, len(words), 32)
-    values = np.flatnonzero(cells)
-    return FrequencyTable(values.astype(np.uint32), cells[values], n, spec.m_bits)
+        return FrequencyTable(*_sorted_runs(words), len(words), 32)
+    cells = np.zeros(1 << spec.m_bits, dtype=np.int64)
+    if spec.m_bits == 8:
+        _bincount(cells, data)
+        n = len(data)
+    else:
+        # big-endian pairs at even offsets, and at odd offsets when overlapping
+        n = 0
+        for i in (0, 1) if spec.overlapping else (0,):
+            grams = data[i: i + (len(data) - i) // 2 * 2].view(">u2")
+            _bincount(cells, grams)
+            n += len(grams)
+    values = np.flatnonzero(cells).astype(np.uint32)
+    return FrequencyTable(values, cells[values], n, spec.m_bits, cells)
 
 
 def binomial_z(counts, n: int, q: float):
@@ -170,19 +208,39 @@ def chi_square(
     return statistic, statistic < critical
 
 
+def _first_where(counts: np.ndarray, test, limit: int) -> list[np.ndarray]:
+    """Indices of the first ``limit`` counts that pass ``test``."""
+    found = []
+    for start, chunk in _chunks(counts):
+        if limit <= 0:
+            break
+        found.append(np.flatnonzero(test(chunk))[:limit] + start)
+        limit -= len(found[-1])
+    return found
+
+
 def top_k(table: FrequencyTable, k: int) -> list[tuple[int, int]]:
     """k most frequent patterns as (pattern, count); ties break on ascending
     pattern value.  Only the candidates are ranked: the counts above the k-th
-    largest (by ``np.sort``: ``np.partition`` is slow on m=32's counts, all 1
-    but a few) and the smallest values whose count equals it."""
+    largest and the smallest values whose count equals it.  The k-th largest
+    is found by bisection over count values, each step counting in chunks, so
+    nothing the size of the table is sorted or copied, however skewed."""
     if k < 1:
         raise ValueError("k must be >= 1")
     values, counts = table.values, table.counts
-    pick = np.arange(len(counts))
-    if k < len(counts):
-        kth = np.sort(counts)[-k]
-        above = np.flatnonzero(counts > kth)
-        pick = np.concatenate((above, np.flatnonzero(counts == kth)[: k - len(above)]))
+    if k >= len(counts):
+        pick = np.arange(len(counts))
+    else:
+        low, high = int(counts.min()), int(counts.max())
+        while low < high:
+            mid = (low + high + 1) // 2
+            if sum(np.count_nonzero(c >= mid) for _, c in _chunks(counts)) >= k:
+                low = mid
+            else:
+                high = mid - 1
+        above = _first_where(counts, lambda c: c > low, k)
+        ties = _first_where(counts, lambda c: c == low, k - sum(map(len, above)))
+        pick = np.concatenate(above + ties)
     order = pick[np.lexsort((values[pick], -counts[pick]))]
     return [(int(values[i]), int(counts[i])) for i in order]
 

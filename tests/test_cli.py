@@ -10,6 +10,8 @@ import keystream_lab
 from keystream_lab import cli, dataset, freq, search
 from keystream_lab.report import config_hash, write_bar_chart, write_csv, write_decay_chart
 
+from helpers import traced_peak
+
 
 def run(argv):
     return cli.main(argv)
@@ -220,6 +222,25 @@ class TestFreq:
         assert not outdir.exists()
         assert "chi2" not in capsys.readouterr().out
 
+    @pytest.mark.parametrize("text", ["", '{"format_version": 1, "n_blocks": 0}\n'])
+    def test_no_records_rejected_before_any_write(self, tmp_path, text, capsys):
+        path = tmp_path / "empty.txt"
+        path.write_text(text)
+        outdir = tmp_path / "o"
+        assert run(["freq", "--dataset", str(path), "--out-dir", str(outdir)]) == cli.EXIT_USAGE
+        assert not outdir.exists()
+        assert capsys.readouterr().err == "usage error: input shorter than one 8-bit gram\n"
+
+    def test_working_set(self, tmp_path, capsys):
+        # one width's table at a time, each counted in small chunks, from
+        # the keystream bytes alone
+        path = tmp_path / "ds.txt"
+        assert run(["gen", "--mode", "variable", "--blocks", "2500", "--seed", "3",
+                    "--out", str(path)]) == cli.EXIT_OK
+        argv = ["freq", "--dataset", str(path), "--m", "8", "16", "32",
+                "--out-dir", str(tmp_path / "r")]
+        assert traced_peak(lambda: run(argv)) < 3.2 * (1 << 20)
+
     def test_low_count_warning_is_one_plain_line(self, tmp_path, capsys):
         # 100 blocks hold 14,399 16-bit m-grams for 65,536 cells: 0.22 a cell
         path = tmp_path / "ds.txt"
@@ -353,7 +374,8 @@ class TestDiffCommands:
                   "--seed", "0", "--out", str(out)])
         assert rc == cli.EXIT_OK
         assert "mean flip probability" in capsys.readouterr().out
-        rows = [r for r in csv.reader(out.open()) if r]
+        with out.open() as fh:
+            rows = [r for r in csv.reader(fh) if r]
         assert len(rows) == 128 + 2  # hash comment + header + 4*32 bits
 
     def test_sweep(self, tmp_path, capsys):

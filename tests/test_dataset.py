@@ -1,4 +1,6 @@
 import json
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from keystream_lab.cipher import (
 )
 from keystream_lab.dataset import (
     CHUNK_BLOCKS,
+    RECORD_SLICE,
     DatasetConfig,
     DatasetFormatError,
     OsEntropyGenerator,
@@ -27,6 +30,8 @@ from keystream_lab.dataset import (
     persist,
     to_hex,
 )
+
+from helpers import traced_peak
 
 
 def raw(block_words) -> bytes:
@@ -332,3 +337,68 @@ class TestPersistence:
         with pytest.raises(DatasetFormatError) as exc:
             load(path)
         assert exc.value.line == CHUNK_BLOCKS + 4
+
+    def test_round_trip_across_record_slices(self, tmp_path):
+        cfg = DatasetConfig(mode="variable", n_blocks=2 * RECORD_SLICE + 1, rng_seed=5)
+        blocks = generate_dataset(cfg)
+        path = tmp_path / "sliced.txt"
+        persist(blocks, cfg, path)
+        lines = path.read_text().splitlines()
+        assert len(lines) == 2 * RECORD_SLICE + 2
+        assert all(len(line) == 288 for line in lines[1:])
+        loaded, header = load(path)
+        assert np.array_equal(loaded, blocks) and header == cfg.as_dict()
+        # a blank line moves every later record one line down
+        lines.insert(RECORD_SLICE, "")
+        path.write_text("\n".join(lines) + "\n")
+        assert np.array_equal(load(path)[0], blocks)
+
+    @pytest.mark.parametrize("offset", [0, 1])
+    def test_bad_record_past_a_slice_boundary(self, tmp_path, offset):
+        # the records of the first slice sit on lines 2 .. RECORD_SLICE + 1
+        cfg = DatasetConfig(n_blocks=RECORD_SLICE + 3, rng_seed=2)
+        path = tmp_path / "bad.txt"
+        persist(generate_dataset(cfg), cfg, path)
+        lines = path.read_text().splitlines()
+        line = RECORD_SLICE + 2 + offset
+        lines[line - 1] = "g" + lines[line - 1][1:]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DatasetFormatError) as exc:
+            load(path)
+        assert exc.value.line == line
+
+    def test_n_blocks_beyond_the_file_is_a_format_error(self, tmp_path):
+        # the header's count is checked against the records, not allocated
+        cfg = DatasetConfig(n_blocks=3, rng_seed=1)
+        header = dict(cfg.as_dict(), n_blocks=10 ** 15)
+        path = tmp_path / "claims.txt"
+        path.write_text(json.dumps(header) + "\n"
+                        + "\n".join(to_hex(generate_dataset(cfg))) + "\n")
+        with pytest.raises(DatasetFormatError) as exc:
+            load(path)
+        assert exc.value.line == 1 and "holds 3 records" in str(exc.value)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_pipe_without_n_blocks(self, tmp_path):
+        # a pipe has no size to bound the records by: they load all the same
+        blocks = generate_dataset(DatasetConfig(n_blocks=RECORD_SLICE + 5, rng_seed=8))
+        path = tmp_path / "pipe"
+        os.mkfifo(path)
+        text = '{"format_version": 1}\n' + "\n".join(to_hex(blocks)) + "\n"
+        writer = threading.Thread(target=path.write_text, args=(text,), daemon=True)
+        writer.start()
+        try:
+            loaded, header = load(path)
+        finally:
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert header == {"format_version": 1}
+        assert np.array_equal(loaded, blocks)
+
+    def test_load_peak(self, tmp_path):
+        # the records are decoded a slice at a time into one array: no
+        # chunk list beside it, nor thousands of lines of text
+        cfg = DatasetConfig(mode="variable", n_blocks=2500, rng_seed=6)
+        path = tmp_path / "ds.txt"
+        persist(generate_dataset(cfg), cfg, path)
+        assert traced_peak(lambda: load(path)) < 1.5 * (1 << 20)

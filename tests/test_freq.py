@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from keystream_lab import freq
 from keystream_lab.cipher import CipherConfig
 from keystream_lab.dataset import DatasetConfig, dataset_bytes, generate_dataset
 from keystream_lab.freq import (
@@ -18,6 +19,8 @@ from keystream_lab.freq import (
     top_k,
     z_score,
 )
+
+from helpers import traced_peak
 
 
 def table_of(counts: dict, n: int, m_bits: int) -> FrequencyTable:
@@ -97,6 +100,56 @@ class TestExtract:
     def test_bad_width_rejected(self):
         with pytest.raises(ValueError):
             MGramSpec(24)
+
+
+class TestChunkBoundaries:
+    """Counting, the m=32 fold and ranking read their arrays COUNT_CHUNK at
+    a time; every chunk size gives the one-shot answer."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        data=st.binary(min_size=4, max_size=80)
+        | st.lists(st.sampled_from([0x00, 0x01, 0xFF]), min_size=4, max_size=80).map(bytes),
+        m_bits=st.sampled_from([8, 16, 32]),
+        overlapping=st.booleans(),
+        chunk=st.integers(1, 7),
+        k=st.integers(1, 12),
+    )
+    def test_counts_match_counter(self, data, m_bits, overlapping, chunk, k):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(freq, "COUNT_CHUNK", chunk)
+            table = extract_mgrams(data, MGramSpec(m_bits, overlapping))
+            ranked = top_k(table, k)
+        naive = naive_counts(data, m_bits, overlapping)
+        assert table.n == sum(naive.values())
+        assert counts_of(table) == naive
+        assert table.values.tolist() == sorted(naive)
+        assert ranked == sorted(naive.items(), key=lambda vc: (-vc[1], vc[0]))[:k]
+        cells = np.zeros(1 << 16 if m_bits > 8 else 256, dtype=np.int64)
+        for v, c in naive.items():
+            cells[(v >> 16) ^ (v & 0xFFFF)] += c
+        assert np.array_equal(table.cells, cells)
+
+
+class TestWorkingSet:
+    """Counting and ranking hold chunk-sized temporaries, not copies of the
+    input or the table."""
+
+    @pytest.fixture(scope="class")
+    def keystream(self):
+        cfg = DatasetConfig(mode="variable", n_blocks=2500, rng_seed=11)
+        return dataset_bytes(generate_dataset(cfg))
+
+    def test_m8_peak(self, keystream):
+        # one bincount over all 360,000 bytes widened them to intp: 2.75 MiB
+        peak = traced_peak(lambda: extract_mgrams(keystream, MGramSpec(8)))
+        assert peak < 1 << 20
+
+    def test_top_k_on_a_skewed_table(self):
+        # a histogram of the counts would take 800 MB for this one count
+        table = table_of({1: 1, 2: 10 ** 8, 3: 5}, 10 ** 8 + 6, 8)
+        assert top_k(table, 1) == [(2, 10 ** 8)]
+        assert traced_peak(lambda: top_k(table, 1)) < 1 << 20
 
 
 class TestZScore:
