@@ -56,26 +56,34 @@ LINE_ORDERS = {
 
 
 @functools.lru_cache(maxsize=None)
-def _shift_pair(r: int, word_bits: int) -> tuple[np.ndarray, np.ndarray]:
-    """The shift amounts of a left rotate by r of word_bits-bit words, as
-    read-only 0-d uint32 arrays: a ufunc takes them up faster than Python
-    ints, which it converts on every call."""
-    shifts = np.array((r, word_bits - r), dtype=np.uint32)
-    shifts.flags.writeable = False
-    return shifts[0, ...], shifts[1, ...]
+def _line_plan(lines, rotations, word_bits):
+    """Per line of ``lines``, (add target, add source, xor/rotate target,
+    left shift, right shift), the shifts of its rotation as read-only 0-d
+    uint32 arrays: a ufunc takes them up faster than Python ints, which it
+    converts on every call.  A rotation by 0 shifts right by the full width,
+    which numpy defines as 0.  Keyed on the table's contents, so an edited
+    table gets its own plan."""
+    plan = []
+    for (t, s, x), r in zip(lines, rotations):
+        r %= word_bits
+        shifts = np.array((r, word_bits - r), dtype=np.uint32)
+        shifts.flags.writeable = False
+        plan.append((t, s, x, shifts[0, ...], shifts[1, ...]))
+    return tuple(plan)
 
 
 def _qrf_lines(words, rotations=ROTATIONS, variant="native", word_bits=32):
     """Run the extended quarter round in place on ``words``, a (4, *shape)
     uint32 array of the words a, b, c, d, and return it.
 
-    The lines of ``LINE_ORDERS[variant]`` run through ufunc ``out=`` and one
-    scratch buffer, line ``i`` rotating by ``rotations[i]`` (a shorter
-    ``rotations`` runs only that many lines).  ``word_bits`` narrows the
-    words: rotations are reduced mod width and each add and rotate is masked.
-    uint32 arithmetic wraps at 32 bits by itself, so full width runs
-    unmasked.  Widths other than 32 exist only as verification scaffolding
-    for exhaustive cross-checks at small scale.
+    The lines of ``LINE_ORDERS[variant]`` run as five ufunc calls each,
+    ``out`` passed positionally, into the words and one scratch buffer, line
+    ``i`` rotating by ``rotations[i]`` (a shorter ``rotations`` runs only
+    that many lines).  ``word_bits`` narrows the words: rotations are
+    reduced mod width and each add and rotate is masked.  uint32 arithmetic
+    wraps at 32 bits by itself, so full width runs unmasked.  Widths other
+    than 32 exist only as verification scaffolding for exhaustive
+    cross-checks at small scale.
     """
     try:
         lines = LINE_ORDERS[variant]
@@ -83,20 +91,17 @@ def _qrf_lines(words, rotations=ROTATIONS, variant="native", word_bits=32):
         raise ValueError(f"unknown qrf variant: {variant!r}") from None
     v, tmp = list(words), np.empty_like(words[0])
     mask = np.uint32((1 << word_bits) - 1) if word_bits < 32 else None
-    for (t, s, x), r in zip(lines, rotations):
+    for t, s, x, left, right in _line_plan(lines, tuple(rotations), word_bits):
         vt, vx = v[t], v[x]
-        np.add(vt, v[s], out=vt)
+        np.add(vt, v[s], vt)
         if mask is not None:
-            np.bitwise_and(vt, mask, out=vt)
-        np.bitwise_xor(vx, vt, out=vx)
-        r %= word_bits
-        if r:
-            left, right = _shift_pair(r, word_bits)
-            np.left_shift(vx, left, out=tmp)
-            np.right_shift(vx, right, out=vx)
-            np.bitwise_or(vx, tmp, out=vx)
+            np.bitwise_and(vt, mask, vt)
+        np.bitwise_xor(vx, vt, vx)
+        np.left_shift(vx, left, tmp)
+        np.right_shift(vx, right, vx)
+        np.bitwise_or(vx, tmp, vx)
         if mask is not None:
-            np.bitwise_and(vx, mask, out=vx)
+            np.bitwise_and(vx, mask, vx)
     return words
 
 
@@ -235,12 +240,12 @@ def init_state(km: KeyMaterial, config: CipherConfig) -> list[int]:
 KEY_BASE, NONCE_BASE, COUNTER_BASE = 4, 12, 16
 
 
-def word_range(base, n: int) -> np.ndarray:
-    """The little-endian multiword integer ``base`` plus 0, 1, ..., n - 1,
-    wrapped at its width (32 bits per word), as a (len(base), n) uint32
-    array."""
+def word_range(base, n: int, start: int = 0) -> np.ndarray:
+    """The little-endian multiword integer ``base`` plus start, start + 1,
+    ..., start + n - 1, wrapped at its width (32 bits per word), as a
+    (len(base), n) uint32 array."""
     out = np.empty((len(base), n), dtype=np.uint32)
-    carry = np.arange(n, dtype=np.uint64)
+    carry = np.arange(start, start + n, dtype=np.uint64)
     for i, word in enumerate(base):
         total = carry + np.uint64(word)
         out[i] = total & MASK32

@@ -47,11 +47,15 @@ def _seed(text: str) -> int:
     return value
 
 
-def _load_dataset(path: str) -> tuple[bytes, dict]:
-    """The dataset's keystream bytes and what identifies it: its header and a
-    BLAKE2b digest of those bytes."""
+def _load_dataset(path: str) -> tuple[memoryview, dict]:
+    """The dataset's keystream bytes, a read-only view of the loaded blocks
+    (no copy on a little-endian host), and what identifies it: its header
+    and a BLAKE2b digest of those bytes."""
     blocks, header = dataset.load(path)
-    data = dataset.dataset_bytes(blocks)
+    # flattened first: memoryview cannot cast a (0, 36) view to bytes
+    words = blocks.astype("<u4", copy=False).reshape(-1)
+    words.flags.writeable = False
+    data = memoryview(words).cast("B")
     return data, {"header": header, "blake2b": hashlib.blake2b(data).hexdigest()}
 
 
@@ -130,7 +134,7 @@ def cmd_freq(args) -> int:
     return EXIT_OK
 
 
-def _freq_width(data: bytes, m: int, args, run_config: dict, outdir: Path) -> bool:
+def _freq_width(data: memoryview, m: int, args, run_config: dict, outdir: Path) -> bool:
     """Count, test and report the m-bit grams; True if ``--baseline`` fails.
     One width's table is freed on return, before the next is counted."""
     cfg = freq.SignificanceConfig()

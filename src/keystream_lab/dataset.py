@@ -128,7 +128,7 @@ def to_hex(blocks) -> list[str]:
 
 def from_hex(records: list[str]) -> np.ndarray:
     """(k, 36) uint32 blocks from k records of exactly 288 hex digits."""
-    if any(len(r) != HEX_CHARS for r in records):
+    if set(map(len, records)) - {HEX_CHARS}:
         raise ValueError(f"hex record must be {HEX_CHARS} chars")
     try:
         raw = bytes.fromhex("".join(records))
@@ -144,26 +144,30 @@ def generate_dataset(cfg: DatasetConfig) -> np.ndarray:
     """Generate ``cfg.n_blocks`` keystream blocks as an (n, 36) uint32 array.
 
     Fixed mode: one key, nonces incremented from a drawn base value, counter
-    zero for every block.  Variable mode: fresh key and nonce per block.  All
-    key material comes from one draw, from the source ``cfg.entropy`` names:
-    key words, then nonce words per block.
+    zero for every block.  Variable mode: fresh key and nonce per block.  Key
+    material comes from the source ``cfg.entropy`` names, in one stream: key
+    words, then nonce words per block.  Each ``CHUNK_BLOCKS`` chunk draws its
+    own part of the stream just before its cipher batch, so no more than one
+    chunk's material is held.
     """
     gen = SeededGenerator(cfg.rng_seed) if cfg.entropy == "seeded" else OsEntropyGenerator()
     ccfg, n = cfg.cipher, cfg.n_blocks
     nonce_words = ccfg.nonce_bits // 32
-    draws = 1 if cfg.mode == "fixed" else n
-    drawn = gen.words((8 + nonce_words) * draws).reshape(draws, -1).T
-    keys, nonces = np.broadcast_to(drawn[:8], (8, n)), drawn[8:]
     if cfg.mode == "fixed":
-        nonces = word_range(nonces[:, 0], n)
+        key, base = np.split(gen.words(8 + nonce_words), [8])
     template = np.array(init_state(KeyMaterial((0,) * 8), ccfg), dtype=np.uint32)
     out = np.empty((n, STATE_WORDS), dtype=np.uint32)
     for start in range(0, n, CHUNK_BLOCKS):
-        stop = min(start + CHUNK_BLOCKS, n)
-        states = np.repeat(template[:, None], stop - start, axis=1)
-        states[KEY_BASE:KEY_BASE + 8] = keys[:, start:stop]
-        states[NONCE_BASE:NONCE_BASE + nonce_words] = nonces[:, start:stop]
-        out[start:stop] = block_words_batch(states, ccfg).T
+        size = min(CHUNK_BLOCKS, n - start)
+        if cfg.mode == "fixed":
+            keys, nonces = key[:, None], word_range(base, size, start)
+        else:
+            drawn = gen.words((8 + nonce_words) * size).reshape(size, -1).T
+            keys, nonces = drawn[:8], drawn[8:]
+        states = np.repeat(template[:, None], size, axis=1)
+        states[KEY_BASE:KEY_BASE + 8] = keys
+        states[NONCE_BASE:NONCE_BASE + nonce_words] = nonces
+        out[start:start + size] = block_words_batch(states, ccfg).T
     return out
 
 

@@ -43,7 +43,7 @@ def _chunks(array: np.ndarray):
 def _cell_of(patterns, m_bits: int):
     """The cell of each pattern: itself for m=8/16, its XOR-fold bucket for
     m=32.  Takes an int or a uint32 array."""
-    return (patterns >> 16) ^ (patterns & 0xFFFF) if m_bits == 32 else patterns
+    return ((patterns >> 16) ^ patterns) & 0xFFFF if m_bits == 32 else patterns
 
 
 @dataclass
@@ -63,10 +63,13 @@ class FrequencyTable:
         if self.cells is not None:
             return
         size = FOLD_BUCKETS if self.m_bits == 32 else 1 << self.m_bits
-        self.cells = np.zeros(size, dtype=np.int64)
+        # add.at is fast only when its dtypes match, so the cells add up in
+        # the counts' dtype, which holds their sum n, and are widened after
+        cells = np.zeros(size, dtype=self.counts.dtype)
         for start, values in _chunks(self.values):
-            np.add.at(self.cells, _cell_of(values, self.m_bits),
+            np.add.at(cells, _cell_of(values, self.m_bits),
                       self.counts[start: start + len(values)])
+        self.cells = cells.astype(np.int64)
 
     def cell(self, pattern: int) -> int:
         """Index in ``cells`` of the cell that holds ``pattern``."""
@@ -110,21 +113,29 @@ def _bincount(cells: np.ndarray, grams: np.ndarray) -> None:
 
 def _sorted_runs(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct ``words`` (ascending) and their counts, from one sorted
-    copy; each temporary is freed before the next is allocated."""
+    copy; each temporary is freed before the next is allocated.  The counts
+    are uint32 below 2^32 words."""
     words = np.sort(words)
-    first = np.empty(len(words), dtype=bool)  # where each run of one value starts
+    n = len(words)
+    first = np.empty(n, dtype=bool)  # where each run of one value starts
     first[0] = True
     np.not_equal(words[1:], words[:-1], out=first[1:])
-    values, n = words[first], len(words)
+    values = words[first]
     del words
-    counts = np.flatnonzero(first)
-    del first
-    # run starts become run lengths in place: ascending chunks, each reading
-    # the start one past its end before the next chunk overwrites it
-    for start in range(0, len(counts) - 1, COUNT_CHUNK):
-        stop = min(start + COUNT_CHUNK, len(counts) - 1)
-        counts[start:stop] = counts[start + 1: stop + 1] - counts[start:stop]
-    counts[-1] = n - counts[-1]
+    counts = np.empty(len(values), dtype=np.uint32 if n < 1 << 32 else np.int64)
+    # a run's length is the next run's start minus its own; the starts are
+    # found a chunk at a time, so no int64 array of all of them is built
+    runs, last = 0, 0
+    for offset, chunk in _chunks(first):
+        starts = np.flatnonzero(chunk)
+        if len(starts):
+            starts += offset
+            if runs:
+                counts[runs - 1] = starts[0] - last
+            np.subtract(starts[1:], starts[:-1], out=counts[runs: runs + len(starts) - 1],
+                        casting="unsafe")
+            runs, last = runs + len(starts), starts[-1]
+    counts[-1] = n - last
     return values, counts
 
 
@@ -134,11 +145,11 @@ def check_length(n_bytes: int, m_bits: int) -> None:
         raise ValueError(f"input shorter than one {m_bits}-bit gram")
 
 
-def extract_mgrams(keystream: bytes, spec: MGramSpec) -> FrequencyTable:
-    """Count m-grams; overlapping extraction slides one byte (one word for
-    m=32)."""
-    check_length(len(keystream), spec.m_bits)
+def extract_mgrams(keystream, spec: MGramSpec) -> FrequencyTable:
+    """Count m-grams of the bytes of the buffer ``keystream``; overlapping
+    extraction slides one byte (one word for m=32)."""
     data = np.frombuffer(keystream, dtype=np.uint8)
+    check_length(len(data), spec.m_bits)
     if spec.m_bits == 32:
         # m=32 slides word-aligned regardless of the overlapping flag
         words = data[: len(data) // 4 * 4].view("<u4")
@@ -241,7 +252,8 @@ def top_k(table: FrequencyTable, k: int) -> list[tuple[int, int]]:
         above = _first_where(counts, lambda c: c > low, k)
         ties = _first_where(counts, lambda c: c == low, k - sum(map(len, above)))
         pick = np.concatenate(above + ties)
-    order = pick[np.lexsort((values[pick], -counts[pick]))]
+    # widened before negating: m=32 counts are unsigned
+    order = pick[np.lexsort((values[pick], -counts[pick].astype(np.int64)))]
     return [(int(values[i]), int(counts[i])) for i in order]
 
 

@@ -43,13 +43,16 @@ _FEW = 14           # up to this many distinct bytes, a chain of == beats a tabl
 
 def _symbol_array(symbols, alphabet: str) -> np.ndarray:
     """``symbols`` as a read-only array of the alphabet's native dtype, not
-    copied if it already is one over immutable ``bytes``.  Raises ValueError
-    for an unknown alphabet, or a symbol that is not an integer in [0, 2^bits)."""
+    copied if it already is one over immutable ``bytes`` or a read-only
+    memoryview, whose exporter vouches that the buffer does not change.
+    Raises ValueError for an unknown alphabet, or a symbol that is not an
+    integer in [0, 2^bits)."""
     if alphabet not in SYMBOL_BITS:
         raise ValueError(f"unknown alphabet {alphabet!r}")
     dtype, bits = _DTYPES[alphabet], SYMBOL_BITS[alphabet]
-    if (isinstance(symbols, np.ndarray) and isinstance(symbols.base, bytes)
-            and symbols.dtype == dtype and symbols.ndim == 1):
+    base = getattr(symbols, "base", None)
+    if (isinstance(symbols, np.ndarray) and symbols.dtype == dtype and symbols.ndim == 1
+            and (isinstance(base, bytes) or isinstance(base, memoryview) and base.readonly)):
         return symbols
     values = np.asarray(symbols)
     if values.ndim != 1 or values.size and (
@@ -81,14 +84,18 @@ class SymbolStream:
         return tuple(self.array.tolist())
 
     @classmethod
-    def from_bytes(cls, data: bytes, alphabet: str = "byte") -> "SymbolStream":
-        """The bytes, or little-endian 32-bit words, of ``data``; on a
-        little-endian host the array is a view of the bytes, not a copy."""
-        data = bytes(data)
-        if alphabet == "word" and len(data) % 4:
-            raise ValueError(f"{len(data)} bytes are not a whole number of "
+    def from_bytes(cls, data, alphabet: str = "byte") -> "SymbolStream":
+        """The bytes, or little-endian 32-bit words, of the buffer ``data``;
+        on a little-endian host the array is a view of a read-only buffer,
+        not a copy.  A writable buffer is copied, so the stream cannot
+        change under a search."""
+        view = memoryview(data)
+        if not view.readonly:
+            view = memoryview(bytes(view))
+        if alphabet == "word" and view.nbytes % 4:
+            raise ValueError(f"{view.nbytes} bytes are not a whole number of "
                              "32-bit words")
-        return cls(np.frombuffer(data, "<u4" if alphabet == "word" else np.uint8), alphabet)
+        return cls(np.frombuffer(view, "<u4" if alphabet == "word" else np.uint8), alphabet)
 
 
 @dataclass(frozen=True)

@@ -241,6 +241,18 @@ class TestFreq:
                 "--out-dir", str(tmp_path / "r")]
         assert traced_peak(lambda: run(argv)) < 3.2 * (1 << 20)
 
+    def test_dataset_loads_as_one_copy(self, tmp_path, monkeypatch):
+        # the keystream bytes are a read-only view of the loaded blocks, not
+        # a second copy beside them; small record slices keep load's own
+        # transients small
+        path = tmp_path / "ds.txt"
+        assert run(["gen", "--mode", "variable", "--blocks", "2500", "--seed", "3",
+                    "--out", str(path)]) == cli.EXIT_OK
+        monkeypatch.setattr(dataset, "RECORD_SLICE", 16)
+        assert traced_peak(lambda: cli._load_dataset(str(path))) < 1.25 * 2500 * 144
+        view = memoryview(cli._load_dataset(str(path))[0])
+        assert view.readonly and view.nbytes == 2500 * 144
+
     def test_low_count_warning_is_one_plain_line(self, tmp_path, capsys):
         # 100 blocks hold 14,399 16-bit m-grams for 65,536 cells: 0.22 a cell
         path = tmp_path / "ds.txt"

@@ -193,6 +193,62 @@ class TestGenerate:
             DatasetConfig(n_blocks=1, entropy="dice")
 
 
+def one_draw_reference(cfg: DatasetConfig) -> list[bytes]:
+    """Each block of ``cfg`` from one draw of all its key material, block by
+    block: key words, then nonce words per block (fixed mode: one key and a
+    base nonce, counted up per block in its width)."""
+    ccfg, n = cfg.cipher, cfg.n_blocks
+    width = ccfg.nonce_bits // 32
+    draws = 1 if cfg.mode == "fixed" else n
+    drawn = SeededGenerator(cfg.rng_seed).words((8 + width) * draws).reshape(draws, -1).tolist()
+    out = []
+    for i in range(n):
+        if cfg.mode == "fixed":
+            base = sum(w << (32 * j) for j, w in enumerate(drawn[0][8:]))
+            v = (base + i) % (1 << (32 * width))
+            key, nonce = drawn[0][:8], [(v >> (32 * j)) & MASK32 for j in range(width)]
+        else:
+            key, nonce = drawn[i][:8], drawn[i][8:]
+        km = KeyMaterial(key, tuple(nonce) + (0,) * (4 - width))
+        out.append(block(init_state(km, ccfg), ccfg))
+    return out
+
+
+class TestChunkBoundaries:
+    """Each CHUNK_BLOCKS chunk draws its key material just before its cipher
+    batch; every chunk size gives the one-draw blocks, just below, at and
+    above a multiple of the chunk."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        mode=st.sampled_from(["fixed", "variable"]),
+        chunk=st.integers(1, 7),
+        multiple=st.integers(1, 3),
+        offset=st.integers(-1, 1),
+        seed=st.integers(0, (1 << 64) - 1),
+        nonce_bits=st.sampled_from([64, 128]),
+    )
+    def test_matches_one_draw_reference(self, mode, chunk, multiple, offset, seed,
+                                        nonce_bits):
+        cfg = DatasetConfig(mode=mode, n_blocks=max(1, chunk * multiple + offset),
+                            rng_seed=seed, cipher=CipherConfig(nonce_bits=nonce_bits))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dataset, "CHUNK_BLOCKS", chunk)
+            blocks = generate_dataset(cfg)
+        assert [raw(blk) for blk in blocks] == one_draw_reference(cfg)
+
+    @pytest.mark.parametrize("mode", ["fixed", "variable"])
+    def test_peak_is_output_plus_one_chunk(self, mode):
+        # beside its output, a dataset holds one chunk's working set: the
+        # whole draw, held through every batch, cost 393 KiB more (variable)
+        # and the whole nonce range 131 KiB (fixed)
+        one = DatasetConfig(mode=mode, n_blocks=CHUNK_BLOCKS, rng_seed=3)
+        cfg = DatasetConfig(mode=mode, n_blocks=3 * CHUNK_BLOCKS + 1, rng_seed=3)
+        chunk_peak = traced_peak(lambda: generate_dataset(one))
+        more_output = (cfg.n_blocks - one.n_blocks) * BLOCK_BYTES
+        assert traced_peak(lambda: generate_dataset(cfg)) < chunk_peak + more_output + (64 << 10)
+
+
 class TestNonceCarries:
     """Fixed mode numbers its nonces with ``word_range``."""
 
@@ -213,6 +269,14 @@ class TestNonceCarries:
         for i in range(n):
             v = (base_int + i) % (1 << (32 * width))
             assert got[:, i].tolist() == [(v >> (32 * j)) & MASK32 for j in range(width)]
+
+
+    @settings(max_examples=50, deadline=None)
+    @given(base=st.lists(st.integers(0, MASK32), min_size=4, max_size=4),
+           start=st.integers(0, 300), n=st.integers(1, 20))
+    @example(base=[MASK32 - 2, MASK32, MASK32, MASK32], start=2, n=3)
+    def test_word_range_from_start_is_a_slice(self, base, start, n):
+        assert np.array_equal(word_range(base, n, start), word_range(base, start + n)[:, start:])
 
 
 class TestPersistence:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from keystream_lab import freq
-from keystream_lab.cipher import CipherConfig
+from keystream_lab.cipher import MASK32, CipherConfig
 from keystream_lab.dataset import DatasetConfig, dataset_bytes, generate_dataset
 from keystream_lab.freq import (
     FOLD_BUCKETS,
@@ -131,6 +131,33 @@ class TestChunkBoundaries:
         assert np.array_equal(table.cells, cells)
 
 
+class TestSortedRuns:
+    """m=32 run lengths are found a chunk of run starts at a time and kept
+    as uint32; every chunk size gives np.unique's answer."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        words=st.lists(st.sampled_from([0, 1, 7, 0xFFFF, 0x10000, MASK32])
+                       | st.integers(0, MASK32), min_size=1, max_size=60),
+        chunk=st.integers(1, 7),
+        k=st.integers(1, 8),
+    )
+    def test_matches_unique(self, words, chunk, k):
+        array = np.array(words, dtype=np.uint32)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(freq, "COUNT_CHUNK", chunk)
+            values, counts = freq._sorted_runs(array)
+            table = FrequencyTable(values, counts, len(words), 32)
+            ranked = top_k(table, k)
+        expect_values, expect_counts = np.unique(array, return_counts=True)
+        assert counts.dtype == np.uint32
+        assert values.tolist() == expect_values.tolist()
+        assert counts.tolist() == expect_counts.tolist()
+        # unsigned counts rank high first, ties on ascending value
+        pairs = zip(expect_values.tolist(), expect_counts.tolist())
+        assert ranked == sorted(pairs, key=lambda vc: (-vc[1], vc[0]))[:k]
+
+
 class TestWorkingSet:
     """Counting and ranking hold chunk-sized temporaries, not copies of the
     input or the table."""
@@ -144,6 +171,13 @@ class TestWorkingSet:
         # one bincount over all 360,000 bytes widened them to intp: 2.75 MiB
         peak = traced_peak(lambda: extract_mgrams(keystream, MGramSpec(8)))
         assert peak < 1 << 20
+
+    def test_m32_peak(self, keystream):
+        # the sorted copy, the distinct values and their uint32 counts (352
+        # KiB each for 90,000 words), the int64 cells (512 KiB) and a chunk's
+        # temporaries; int64 run starts and counts took it to 2.03 MiB
+        peak = traced_peak(lambda: extract_mgrams(keystream, MGramSpec(32)))
+        assert peak < 1.75 * (1 << 20)
 
     def test_top_k_on_a_skewed_table(self):
         # a histogram of the counts would take 800 MB for this one count
@@ -261,6 +295,12 @@ class TestTopK:
         words = np.random.default_rng(4).permutation(1 << 16).astype("<u4") * 65537
         table = extract_mgrams(words.tobytes(), MGramSpec(32))
         assert top_k(table, 10) == [(int(w), 1) for w in np.sort(words)[:10]]
+
+    def test_unsigned_counts_rank_high_first(self):
+        # a uint32 count of 0 negated in its own dtype stays 0 and would rank first
+        counts = np.array([0, 5, 2], np.uint32)
+        table = FrequencyTable(np.array([1, 2, 3], np.uint32), counts, 7, 32)
+        assert top_k(table, 3) == [(2, 5), (3, 2), (1, 0)]
 
 
 class TestScan:
