@@ -11,9 +11,9 @@ Every paired evaluation (collision trials, avalanche and the sweep's
 diffusion half) runs through one kernel, ``_paired_chunks``: x and one
 x' = x xor delta per delta run in place, ``_LANES`` lanes at a time, and
 y xor y' is read off after each reported round.  The working set is fixed:
-collision trials and the avalanche read each chunk's words straight from
-the rng stream (``_drawn_chunks``), and x', y xor y' and the chunk words
-sit in buffers allocated once per call.  The avalanche counts the
+every campaign reads each chunk's words straight from the rng stream
+(``_drawn_chunks``), and x', y xor y' and the chunk words sit in buffers
+allocated once per call.  The avalanche counts the
 output-bit flips of each chunk with one positional popcount,
 ``_bit_counts``, whose byte fields each sum at most 255 lanes.
 """
@@ -42,7 +42,7 @@ def _lane_chunks(n: int):
     return (slice(start, min(start + _LANES, n)) for start in range(0, n, _LANES))
 
 
-def _words(bitgen, count: int, skip: int = 0) -> np.ndarray:
+def _words(bitgen, count: int, skip: int) -> np.ndarray:
     """Words ``skip`` to ``skip + count - 1`` of the uint32 stream that
     ``Generator(bitgen).integers(0, 2**32, dtype=np.uint32)`` draws next,
     read as the little-endian halves of PCG64's raw 64-bit outputs: word 2i
@@ -123,16 +123,6 @@ def _paired_chunks(chunks, report, rotations=ROTATIONS, variant="native", word_b
                     _qrf_lines(v, rotations, variant, word_bits)
             if r in report:
                 yield r, tag, (np.bitwise_xor(y, yp, out=d) for yp in yps)
-
-
-def _paired_rounds(x, deltas, report, rotations=ROTATIONS, variant="native", word_bits=32):
-    """:func:`_paired_chunks` over the (4, ..., n) uint32 array x, overwritten
-    with y, ``_LANES`` lanes of the last axis at a time, each delta an array
-    that broadcasts to x; the tag of each chunk is its slice of lanes."""
-    deltas = [np.broadcast_to(d, x.shape) for d in deltas]
-    chunks = ((lanes, x[..., lanes], [d[..., lanes] for d in deltas])
-              for lanes in _lane_chunks(x.shape[-1]))
-    return _paired_chunks(chunks, report, rotations, variant, word_bits)
 
 
 def _bit_counts(d) -> np.ndarray:
@@ -423,15 +413,20 @@ def rotation_sweep(constant_sets, cfg: TrialConfig) -> list[SweepResult]:
 
 def _flipped_bits(n: int, rounds: int, rotations, rng_seed: int) -> np.ndarray:
     """Weight of the output difference after ``rounds`` rounds for n random
-    quads, each with one random input bit flipped; the draws and kernel
-    buffers are freed on return."""
+    quads, each with one random input bit flipped.  The rng stream holds
+    the (4, n) quads (2n raw outputs), then each quad's flipped word and
+    bit: those are drawn first, from a generator advanced past the quads,
+    and the quads are then read chunk by chunk."""
+    tail = np.random.default_rng(rng_seed ^ 0x5EED)
+    tail.bit_generator.advance(2 * n)
+    word = tail.integers(0, 4, n)
+    bit = tail.integers(0, 32, n, dtype=np.uint32)
     rng = np.random.default_rng(rng_seed ^ 0x5EED)
-    x = _words(rng.bit_generator, 4 * n).reshape(4, n)
-    word = rng.integers(0, 4, n)
-    bit = rng.integers(0, 32, n, dtype=np.uint32)
-    flip = np.where(word == np.arange(4)[:, None], np.uint32(1) << bit, np.uint32(0))
+    chunks = ((lanes, x, [np.where(word[lanes] == np.arange(4)[:, None],
+                                   np.uint32(1) << bit[lanes], np.uint32(0))])
+              for lanes, (_, x) in zip(_lane_chunks(n), _drawn_chunks(rng, [(4, n)])))
     hw = np.empty(n, dtype=np.int64)
-    for _, lanes, (d,) in _paired_rounds(x, [flip], (rounds,), rotations):
+    for _, lanes, (d,) in _paired_chunks(chunks, (rounds,), rotations):
         hw[lanes] = np.bitwise_count(d).sum(axis=0, dtype=np.int64)
     return hw
 

@@ -154,17 +154,13 @@ def extract_mgrams(keystream, spec: MGramSpec) -> FrequencyTable:
         # m=32 slides word-aligned regardless of the overlapping flag
         words = data[: len(data) // 4 * 4].view("<u4")
         return FrequencyTable(*_sorted_runs(words), len(words), 32)
+    # big-endian grams at aligned offsets, and at every byte offset when overlapping
+    width, n = spec.m_bits // 8, 0
     cells = np.zeros(1 << spec.m_bits, dtype=np.int64)
-    if spec.m_bits == 8:
-        _bincount(cells, data)
-        n = len(data)
-    else:
-        # big-endian pairs at even offsets, and at odd offsets when overlapping
-        n = 0
-        for i in (0, 1) if spec.overlapping else (0,):
-            grams = data[i: i + (len(data) - i) // 2 * 2].view(">u2")
-            _bincount(cells, grams)
-            n += len(grams)
+    for i in range(width) if spec.overlapping else (0,):
+        grams = data[i: i + (len(data) - i) // width * width].view(f">u{width}")
+        _bincount(cells, grams)
+        n += len(grams)
     values = np.flatnonzero(cells).astype(np.uint32)
     return FrequencyTable(values, cells[values], n, spec.m_bits, cells)
 

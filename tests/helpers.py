@@ -256,6 +256,23 @@ def collision_reference(delta, cfg, qrf_vec, batch, word_bits=32):
     return {r: tuple(c) for r, c in counts.items()}
 
 
+def flipped_bits_reference(n, rounds, rotations, rng_seed, qrf_vec):
+    """The sweep's diffusion loop on whole arrays: one (4, n) draw of quads,
+    then the flipped word and bit of each quad, ``rounds`` applications of
+    ``qrf_vec`` to both sides, and the weight of y xor y' per quad."""
+    rng = np.random.default_rng(rng_seed ^ 0x5EED)
+    x = rng.integers(0, 1 << 32, (4, n), dtype=np.uint32)
+    word = rng.integers(0, 4, n)
+    bit = rng.integers(0, 32, n, dtype=np.uint32)
+    xp = x.copy()
+    xp[word, np.arange(n)] ^= np.uint32(1) << bit
+    y, yp = x, xp
+    for _ in range(rounds):
+        y = qrf_vec(*y, rotations=rotations)
+        yp = qrf_vec(*yp, rotations=rotations)
+    return sum(np.bitwise_count(a ^ b).astype(np.int64) for a, b in zip(y, yp))
+
+
 def traced_peak(fn) -> int:
     """Peak bytes that tracemalloc traces above the starting level while
     ``fn()`` runs.  ``fn`` is called once untraced first, so one-time

@@ -25,7 +25,8 @@ from keystream_lab.diff import (
 )
 
 from helpers import (
-    avalanche_reference, collision_reference, qrf_forward, qrf_small, traced_peak,
+    avalanche_reference, collision_reference, flipped_bits_reference, qrf_forward,
+    qrf_small, traced_peak,
 )
 
 
@@ -190,7 +191,9 @@ class TestKernel:
                     y, yp = qrf_forward(*y), qrf_forward(*yp)
                     expect[r, t, k] = tuple(a ^ b for a, b in zip(y, yp))
         seen = set()
-        for r, lanes, ds in diff._paired_rounds(x, darrays, (1, 2, 3)):
+        chunks = ((lanes, x[:, lanes], [d[:, lanes] for d in darrays])
+                  for lanes in diff._lane_chunks(20))
+        for r, lanes, ds in diff._paired_chunks(chunks, (1, 2, 3)):
             for k, d in enumerate(ds):
                 for t, col in zip(range(20)[lanes], d.T):
                     assert tuple(col.tolist()) == expect[r, t, k]
@@ -339,6 +342,12 @@ class TestWorkingSet:
         peak = traced_peak(lambda: avalanche_profile(1, 100_000))
         assert peak < 2 << 20
 
+    def test_rotation_sweep_peak(self):
+        # the diffusion half drew its (4, n) quads and flips whole: 4.0 MiB
+        cfg = TrialConfig(trials=1 << 16)
+        peak = traced_peak(lambda: rotation_sweep([ROTATIONS], cfg))
+        assert peak < 3 << 20
+
 
 class TestAvalanche:
     def test_identity_at_zero_rounds(self):
@@ -421,6 +430,21 @@ class TestSweep:
         cfg = TrialConfig(trials=1 << 14, rounds=(4,), rng_seed=5)
         res = rotation_sweep([(16, 12, 8, 7, 4, 2)], cfg)[0]
         assert res.mean_flipped_bits == 63.95751953125
+
+    # several kernel chunks, the last one partial: an odd n above one
+    # default chunk, and small chunks
+    @pytest.mark.parametrize("lanes, n, rounds, rotations, seed", [
+        (1 << 14, 40_001, 2, ROTATIONS, 3),
+        (1000, (1 << 14) + 1, 4, (7, 9, 13, 18, 4, 2), (1 << 64) - 1),
+        (7, 1025, 1, ROTATIONS, 0),
+    ])
+    def test_flipped_bits_match_whole_array_reference(self, monkeypatch, lanes, n,
+                                                      rounds, rotations, seed):
+        monkeypatch.setattr(diff, "_LANES", lanes)
+        got = diff._flipped_bits(n, rounds, rotations, seed)
+        expect = flipped_bits_reference(n, rounds, rotations, seed, qrf_vec)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, expect)
 
     def test_invalid_rotation_set(self):
         cfg = TrialConfig(trials=1 << 10, rounds=(1,))
