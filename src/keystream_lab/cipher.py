@@ -8,8 +8,9 @@ target alternation extended with a 4-bit and a 2-bit line.
 
 :func:`_qrf_lines` interprets the tables in place over uint32 arrays;
 :func:`qrf_vec` runs it on a copy of its inputs, :func:`qrf` on one lane.
-:func:`block_words_batch` runs each round as wavefronts of disjoint quads, one
-gather, quarter round and scatter per wavefront.  :func:`block`,
+:func:`_round_step` is the round step: a quarter round in place on quads, or a
+gather, quarter round and scatter per wavefront of disjoint quads on blocks.
+The ``diff`` kernel and :func:`block_words_batch` run it; :func:`block`,
 :func:`keystream`, :func:`xor_encrypt` and the reference 4x4 ChaCha20 block
 (the first four ``rfc`` lines, rotations 16, 12, 8, 7) all run through them.
 """
@@ -253,14 +254,25 @@ def word_range(base, n: int, start: int = 0) -> np.ndarray:
     return out
 
 
-def _run_block(states, rounds, waves, variant, rotations=ROTATIONS):
-    """Run ``rounds`` rounds over a copy of the (words, B) uint32 array
-    ``states`` (round r runs ``waves[r % 2]``), then add ``states`` back."""
+def _round_step(waves=None, rotations=ROTATIONS, variant="native", word_bits=32):
+    """``step(v, r)``, which runs round r in place on v: without ``waves`` one
+    quarter round on a (4, ..., k) quad array, with no gather; with them the
+    wavefronts of ``waves[r % 2]`` on a (words, ...) state array."""
+    if waves is None:
+        return lambda v, r: _qrf_lines(v, rotations, variant, word_bits)
+
+    def step(v, r):
+        for idx in waves[r % 2]:
+            # take: at B = 1, v[idx] comes back transposed, with strided rows
+            v[idx] = _qrf_lines(v.take(idx, axis=0), rotations, variant, word_bits)
+    return step
+
+
+def _run_block(states, rounds, step):
+    """Run ``rounds`` rounds of ``step`` on a copy of ``states``, then add ``states`` back."""
     w = states.copy()
     for r in range(rounds):
-        for idx in waves[r % 2]:
-            # take: at B = 1, w[idx] comes back transposed, with strided rows
-            w[idx] = _qrf_lines(w.take(idx, axis=0), rotations, variant)
+        step(w, r)
     return w + states
 
 
@@ -274,7 +286,7 @@ def block_words_batch(states: np.ndarray, config: CipherConfig) -> np.ndarray:
     if states.shape[0] != STATE_WORDS:
         raise ValueError("states must have shape (36, B)")
     states = states.astype(np.uint32, copy=False)
-    return _run_block(states, config.rounds, BLOCK_WAVES, config.qrf_variant)
+    return _run_block(states, config.rounds, _round_step(BLOCK_WAVES, variant=config.qrf_variant))
 
 
 def block(state: list[int], config: CipherConfig) -> bytes:
@@ -318,5 +330,5 @@ def chacha20_block(km: KeyMaterial) -> bytes:
     if any(km.counter[1:]) or km.nonce[3]:
         raise ValueError("chacha20 uses a 32-bit counter and 96-bit nonce")
     states = np.array([CONSTANTS + km.key + km.counter[:1] + km.nonce[:3]], np.uint32).T
-    out = _run_block(states, 20, CHACHA20_WAVES, "rfc", ROTATIONS[:4])
+    out = _run_block(states, 20, _round_step(CHACHA20_WAVES, ROTATIONS[:4], "rfc"))
     return out.astype("<u4").tobytes()

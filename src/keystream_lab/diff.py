@@ -9,8 +9,9 @@ near-collision rate: output difference weight at most ``partial_threshold_bits``
 
 Every paired evaluation (collision trials, avalanche and the sweep's
 diffusion half) runs through one kernel, ``_paired_chunks``: x and one
-x' = x xor delta per delta run in place, ``_LANES`` lanes at a time, and
-y xor y' is read off after each reported round.  The working set is fixed:
+x' = x xor delta per delta run in place by ``cipher._round_step``, the
+block function's round step, ``_LANES`` lanes at a time, and y xor y' is
+read off after each reported round.  The working set is fixed:
 every campaign reads each chunk's words straight from the rng stream
 (``_drawn_chunks``), and x', y xor y' and the chunk words sit in buffers
 allocated once per call.  The avalanche counts the
@@ -21,12 +22,12 @@ output-bit flips of each chunk with one positional popcount,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from ._tails import binom_upper
-from .cipher import ROTATIONS, _qrf_lines, rotl32, MASK32, _check_words
+from .cipher import ROTATIONS, _round_step, rotl32, MASK32, _check_words
 
 _IDEAL_BOUND = 2.0 ** -32
 _BATCH = 1 << 20    # trials per batch; fixed, as the order of the rng words depends on it
@@ -97,12 +98,12 @@ def _quads(x) -> np.ndarray:
     return x.reshape(-1, 4, x.shape[-1]).transpose(1, 0, 2)
 
 
-def _paired_chunks(chunks, report, rotations=ROTATIONS, variant="native", word_bits=32):
+def _paired_chunks(chunks, report, step):
     """The paired-evaluation kernel.  ``chunks`` yields (tag, y, deltas): y
-    a (4, ..., k) uint32 array of at most ``_LANES`` lanes per row,
-    overwritten in place, and deltas the arrays d that broadcast to it.
-    Each y and its y' = y xor d for each d run through ``max(report)``
-    quarter rounds; after each round r in ``report`` (0 included), yield
+    a uint32 array of at most ``_LANES`` lanes per row, overwritten in
+    place, and deltas the arrays d that broadcast to it.  Each y and its
+    y' = y xor d for each d run through ``max(report)`` rounds, round r being
+    ``step(v, r - 1)``; after each round r in ``report`` (0 included), yield
     (r, tag, ds): ds yields y xor y' for each delta in turn.
 
     y' and y xor y' live in one buffer, allocated on the first chunk (again
@@ -120,7 +121,7 @@ def _paired_chunks(chunks, report, rotations=ROTATIONS, variant="native", word_b
         for r in range(max(report) + 1):
             if r:
                 for v in (y, *yps):
-                    _qrf_lines(v, rotations, variant, word_bits)
+                    step(v, r - 1)
             if r in report:
                 yield r, tag, (np.bitwise_xor(y, yp, out=d) for yp in yps)
 
@@ -202,17 +203,8 @@ class CollisionStats:
         return self.full_collisions + self.partial_collisions
 
     def as_dict(self) -> dict:
-        return {
-            "rounds": self.rounds,
-            "trials": self.trials,
-            "full_collisions": self.full_collisions,
-            "partial_collisions": self.partial_collisions,
-            "collisions": self.collisions,
-            "p_hat": self.p_hat,
-            "sigma": self.sigma,
-            "passes_bound": self.passes_bound,
-            "p_upper": self.p_upper,
-        }
+        items = list(asdict(self).items())    # collisions goes after partial_collisions
+        return dict(items[:4] + [("collisions", self.collisions)] + items[4:])
 
 
 def _make_stats(rounds: int, trials: int, full: int, partial: int) -> CollisionStats:
@@ -270,7 +262,8 @@ def _weight_counts(deltas, cfg: TrialConfig, rotations, word_bits: int):
              for start in range(0, cfg.trials, _BATCH)]
     rng = np.random.default_rng(cfg.rng_seed)
     chunks = ((None, _quads(x), dqs) for _, x in _drawn_chunks(rng, draws, word_bits))
-    for r, _, ds in _paired_chunks(chunks, cfg.rounds, rotations, word_bits=word_bits):
+    step = _round_step(rotations=rotations, word_bits=word_bits)
+    for r, _, ds in _paired_chunks(chunks, cfg.rounds, step):
         for k, d in enumerate(ds):
             hw = np.bitwise_count(d).sum(axis=(0, 1), dtype=np.uint16)
             full[k, r] += np.count_nonzero(hw == 0)
@@ -360,13 +353,14 @@ def avalanche_profile(
     bits = np.arange(128)
     flip = np.zeros((4, 128, 1), dtype=np.uint32)
     flip[bits // 32, bits, 0] = np.uint32(1) << (bits % 32).astype(np.uint32)
-    step = max(1, _LANES // trials)
-    groups = [slice(start, min(start + step, 128)) for start in range(0, 128, step)]
+    size = max(1, _LANES // trials)
+    groups = [slice(start, min(start + size, 128)) for start in range(0, 128, size)]
     draws = [(4 * (rows.stop - rows.start), trials) for rows in groups]
     # quad j of a chunk is the group's row j
     chunks = ((groups[g], _quads(x), [flip[:, groups[g]]])
               for g, x in _drawn_chunks(rng, draws))
-    for _, rows, (dl,) in _paired_chunks(chunks, (rounds,), rotations, qrf_variant):
+    step = _round_step(rotations=rotations, variant=qrf_variant)
+    for _, rows, (dl,) in _paired_chunks(chunks, (rounds,), step):
         counts[rows] += _bit_counts(dl)
     return AvalancheProfile(counts / trials, trials, rounds)
 
@@ -426,7 +420,7 @@ def _flipped_bits(n: int, rounds: int, rotations, rng_seed: int) -> np.ndarray:
                                    np.uint32(1) << bit[lanes], np.uint32(0))])
               for lanes, (_, x) in zip(_lane_chunks(n), _drawn_chunks(rng, [(4, n)])))
     hw = np.empty(n, dtype=np.int64)
-    for _, lanes, (d,) in _paired_chunks(chunks, (rounds,), rotations):
+    for _, lanes, (d,) in _paired_chunks(chunks, (rounds,), _round_step(rotations=rotations)):
         hw[lanes] = np.bitwise_count(d).sum(axis=0, dtype=np.int64)
     return hw
 

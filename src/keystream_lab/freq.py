@@ -184,24 +184,20 @@ def _cell_z(table: FrequencyTable, counts):
 
 
 def z_score(
-    table: FrequencyTable, pattern: int, cfg: SignificanceConfig | None = None
+    table: FrequencyTable, pattern: int, cfg: SignificanceConfig = SignificanceConfig()
 ) -> ZScoreResult:
     """Normalised deviation of the count of the cell holding ``pattern``
     (for m=32, the word's fold bucket) from the uniform expectation."""
-    if cfg is None:
-        cfg = SignificanceConfig()
     z, expected, variance = _cell_z(table, table.cells[table.cell(pattern)])
     return ZScoreResult(pattern, float(z), expected, variance, bool(z > cfg.z_threshold))
 
 
 def chi_square(
-    table: FrequencyTable, cfg: SignificanceConfig | None = None
+    table: FrequencyTable, cfg: SignificanceConfig = SignificanceConfig()
 ) -> tuple[float, bool]:
     """Pearson chi-square against uniformity; pass iff below the quantile at
     ``chi2_alpha`` for the table's degrees of freedom.
     ``chdtri`` takes the upper-tail alpha directly, not 1 - alpha."""
-    if cfg is None:
-        cfg = SignificanceConfig()
     cells = table.cells
     expected = table.n / len(cells)
     if expected < 5:
@@ -254,12 +250,10 @@ def top_k(table: FrequencyTable, k: int) -> list[tuple[int, int]]:
 
 
 def scan_significant(
-    table: FrequencyTable, cfg: SignificanceConfig | None = None
+    table: FrequencyTable, cfg: SignificanceConfig = SignificanceConfig()
 ) -> list[ZScoreResult]:
     """All cells whose z-score exceeds the threshold; a result's ``pattern``
     is its cell index (for m=32, the fold bucket)."""
-    if cfg is None:
-        cfg = SignificanceConfig()
     z, expected, variance = _cell_z(table, table.cells)
     return [ZScoreResult(int(i), float(z[i]), expected, variance, True)
             for i in np.flatnonzero(z > cfg.z_threshold)]

@@ -23,6 +23,7 @@ from keystream_lab.cipher import (
     qrf_vec,
     rotl32,
     xor_encrypt,
+    _round_step,
     _run_block,
 )
 
@@ -219,7 +220,7 @@ class TestBlock:
         # zero rounds leave only the feed-forward: the output is the doubled state
         state = self._state(1)
         states = np.array(state, dtype=np.uint32)[:, None]
-        words = _run_block(states, 0, BLOCK_WAVES, "native")[:, 0].tolist()
+        words = _run_block(states, 0, _round_step(BLOCK_WAVES))[:, 0].tolist()
         assert words == [(2 * w) & MASK32 for w in state]
 
     def test_input_state_not_mutated(self):

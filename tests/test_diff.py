@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from scipy import special
 
-from keystream_lab import cli, diff
+from keystream_lab import cipher, cli, diff
 from keystream_lab.cipher import ROTATIONS, qrf_vec
 from keystream_lab.diff import (
     AdvantageEstimate,
@@ -193,7 +193,7 @@ class TestKernel:
         seen = set()
         chunks = ((lanes, x[:, lanes], [d[:, lanes] for d in darrays])
                   for lanes in diff._lane_chunks(20))
-        for r, lanes, ds in diff._paired_chunks(chunks, (1, 2, 3)):
+        for r, lanes, ds in diff._paired_chunks(chunks, (1, 2, 3), cipher._round_step()):
             for k, d in enumerate(ds):
                 for t, col in zip(range(20)[lanes], d.T):
                     assert tuple(col.tolist()) == expect[r, t, k]
@@ -203,17 +203,38 @@ class TestKernel:
         assert [tuple(col.tolist()) for col in x.T] == [
             qrf_forward(*qrf_forward(*qrf_forward(*q))) for q in xs]
 
+    @pytest.mark.parametrize("words, nonce, waves, rotations, variant", [
+        (36, 12, cipher.BLOCK_WAVES, ROTATIONS, "native"),
+        (16, 13, cipher.CHACHA20_WAVES, ROTATIONS[:4], "rfc"),
+    ], ids=["block", "chacha20"])
+    def test_block_rounds_match_run_block(self, words, nonce, waves, rotations, variant):
+        """Block states through the kernel: after r rounds (round 3 is a
+        column round after a diagonal one) y is the block function's output
+        without its feed-forward, and each difference is the xor of two."""
+        step = cipher._round_step(waves, rotations, variant)
+        x = np.random.default_rng(5).integers(0, 1 << 32, (words, 50), dtype=np.uint32)
+        delta = np.zeros((words, 1), dtype=np.uint32)
+        delta[nonce] = 1 << 13      # bit 13 of nonce word n0
+        y, seen = x.copy(), []
+        for r, _, (d,) in diff._paired_chunks([(None, y, [delta])], (1, 2, 3), step):
+            out = cipher._run_block(x, r, step) - x
+            out_p = cipher._run_block(x ^ delta, r, step) - (x ^ delta)
+            np.testing.assert_array_equal(y, out)
+            np.testing.assert_array_equal(d, out ^ out_p)
+            seen.append(r)
+        assert seen == [1, 2, 3]
+
     def test_six_deltas_run_seven_trajectories(self, monkeypatch, tmp_path):
         """A 6-delta diff runs one shared y and six y' per round and lane
         chunk (not a y per delta), and no call exceeds the chunk."""
         monkeypatch.setattr(diff, "_LANES", 1024)
-        calls, qrf_lines = [], diff._qrf_lines
+        calls, qrf_lines = [], cipher._qrf_lines
 
         def counted(words, *args, **kwargs):
             calls.append(words.shape[-1])
             return qrf_lines(words, *args, **kwargs)
 
-        monkeypatch.setattr(diff, "_qrf_lines", counted)
+        monkeypatch.setattr(cipher, "_qrf_lines", counted)
         argv = ["diff", "--trials", "4096", "--rounds", "1", "2", "--seed", "3",
                 "--out-dir", str(tmp_path)]
         assert cli.main(argv) == 0
