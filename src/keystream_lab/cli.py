@@ -187,7 +187,9 @@ def cmd_diff(args) -> int:
     rows = [{"delta": "/".join(f"{d:08x}" for d in delta), **st.as_dict()}
             for delta, stats in zip(deltas, results) for st in stats.values()]
     report.write_csv(outdir / "collision_stats.csv", rows, _run_config(args))
-    pooled_p = [sum(stats[r].collisions for stats in results) / (len(results) * cfg.trials)
+    # the zero-delta control collides in every trial, so only the others pool
+    pooled = [stats for delta, stats in zip(deltas, results) if any(delta)]
+    pooled_p = [sum(stats[r].collisions for stats in pooled) / (len(pooled) * cfg.trials)
                 for r in cfg.rounds]
     report.write_decay_chart(
         outdir / "collision_decay.svg", cfg.rounds, pooled_p,

@@ -58,26 +58,19 @@ def _words(bitgen, count: int, skip: int) -> np.ndarray:
     return raw.astype("<u8", copy=False).view("<u4")[odd:odd + count].astype(np.uint32, copy=False)
 
 
-def _drawn_chunks(rng, draws, word_bits: int = 32):
-    """Draw ``rng.integers(0, 1 << word_bits, (rows, n), dtype=np.uint32)``
-    for each (rows, n) of ``draws`` in turn, and yield (j, x) for each
-    chunk of draw j, in order: x is the (rows, k) array of its next k
-    columns, k at most ``_LANES``.
+def _drawn_chunks(rng, draws):
+    """Draw ``rng.integers(0, 2**32, (rows, n), dtype=np.uint32)`` for each
+    (rows, n) of ``draws`` in turn, and yield (j, x) for each chunk of draw
+    j, in order: x is the (rows, k) array of its next k columns, k at most
+    ``_LANES``.
 
-    At 32 bits no draw is held whole.  Row i's words for lanes [s, s + k)
-    sit at offset i * n + s of the draw's stream, and each chunk reads them
-    with :func:`_words` from a copy of rng's state into one buffer, refilled
-    per chunk: x is valid until the generator resumes.  After each draw rng
-    is advanced to where ``integers`` would leave it, so ``rows * n`` must be
-    even.  Narrower words come from rejection sampling, which cannot be
-    jumped, and each of their draws is taken whole.
+    No draw is held whole.  Row i's words for lanes [s, s + k) sit at
+    offset i * n + s of the draw's stream, and each chunk reads them with
+    :func:`_words` from a copy of rng's state into one buffer, refilled per
+    chunk: x is valid until the generator resumes.  After each draw rng is
+    advanced to where ``integers`` would leave it, so ``rows * n`` must be
+    even.
     """
-    if word_bits < 32:
-        for j, (rows, n) in enumerate(draws):
-            x = rng.integers(0, 1 << word_bits, (rows, n), dtype=np.uint32)
-            for lanes in _lane_chunks(n):
-                yield j, x[:, lanes]
-        return
     buf = np.empty(max(rows * min(n, _LANES) for rows, n in draws), dtype=np.uint32)
     bitgen = np.random.PCG64(0)
     for j, (rows, n) in enumerate(draws):
@@ -251,7 +244,10 @@ def _weight_counts(deltas, cfg: TrialConfig, rotations, word_bits: int):
     width, whose output difference weight after r rounds is 0, and at most
     the threshold.  Batch b of n trials is the (n_quads, 4, n) draw
     ``rng.integers(0, 1 << word_bits, ...)`` from ``cfg.rng_seed``, read
-    chunk by chunk; the buffers of this call are freed on return."""
+    chunk by chunk as 32-bit words shifted down to their top ``word_bits``
+    bits: for a power-of-two range ``integers`` is Lemire's multiply-shift,
+    which never rejects (ACM TOMACS 2019).  The buffers of this call are
+    freed on return."""
     n_quads = len(deltas[0]) // 4
     full = np.zeros((len(deltas), max(cfg.rounds) + 1), dtype=np.int64)
     near = full.copy()
@@ -261,7 +257,9 @@ def _weight_counts(deltas, cfg: TrialConfig, rotations, word_bits: int):
     draws = [(4 * n_quads, min(_BATCH, cfg.trials - start))
              for start in range(0, cfg.trials, _BATCH)]
     rng = np.random.default_rng(cfg.rng_seed)
-    chunks = ((None, _quads(x), dqs) for _, x in _drawn_chunks(rng, draws, word_bits))
+    shift = np.uint32(32 - word_bits)
+    chunks = ((None, _quads(np.right_shift(x, shift, out=x) if shift else x), dqs)
+              for _, x in _drawn_chunks(rng, draws))
     step = _round_step(rotations=rotations, word_bits=word_bits)
     for r, _, ds in _paired_chunks(chunks, cfg.rounds, step):
         for k, d in enumerate(ds):

@@ -27,7 +27,6 @@ COUNT_CHUNK = 1 << 16  # grams per bincount call, values per fold or top_k step
 @dataclass(frozen=True)
 class MGramSpec:
     m_bits: int = 8
-    overlapping: bool = True
 
     def __post_init__(self):
         if self.m_bits not in (8, 16, 32):
@@ -146,18 +145,17 @@ def check_length(n_bytes: int, m_bits: int) -> None:
 
 
 def extract_mgrams(keystream, spec: MGramSpec) -> FrequencyTable:
-    """Count m-grams of the bytes of the buffer ``keystream``; overlapping
-    extraction slides one byte (one word for m=32)."""
+    """Count m-grams of the bytes of the buffer ``keystream``: m=8 and m=16
+    grams slide one byte, m=32 grams one word."""
     data = np.frombuffer(keystream, dtype=np.uint8)
     check_length(len(data), spec.m_bits)
     if spec.m_bits == 32:
-        # m=32 slides word-aligned regardless of the overlapping flag
         words = data[: len(data) // 4 * 4].view("<u4")
         return FrequencyTable(*_sorted_runs(words), len(words), 32)
-    # big-endian grams at aligned offsets, and at every byte offset when overlapping
+    # big-endian grams; pass i reads those at offsets congruent to i mod width
     width, n = spec.m_bits // 8, 0
     cells = np.zeros(1 << spec.m_bits, dtype=np.int64)
-    for i in range(width) if spec.overlapping else (0,):
+    for i in range(width):
         grams = data[i: i + (len(data) - i) // width * width].view(f">u{width}")
         _bincount(cells, grams)
         n += len(grams)

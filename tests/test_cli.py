@@ -380,6 +380,18 @@ class TestDiffCommands:
         assert (outdir / "collision_decay.svg").exists()
         assert "pooled_p_hat" in capsys.readouterr().out
 
+    def test_zero_control_not_pooled(self, tmp_path, capsys):
+        # the control collides in every trial: pooled, it read 2^-2.8 at
+        # rounds 2, 4 and 8, where every other delta reads 0
+        seen = []
+        for control in ([], ["--include-zero-control"]):
+            out = tmp_path / f"diff{len(control)}"
+            assert run(["diff", "--trials", "4096", "--rounds", "1", "2", "4", "8",
+                        "--seed", "0", "--out-dir", str(out), *control]) == cli.EXIT_OK
+            seen.append((capsys.readouterr().out, (out / "collision_decay.svg").read_bytes()))
+        assert seen[0] == seen[1]
+        assert "rounds=8 pooled_p_hat=0.000e+00" in seen[0][0]
+
     def test_avalanche(self, tmp_path, capsys):
         out = tmp_path / "av.csv"
         rc = run(["avalanche", "--rounds", "1", "--trials", "200",

@@ -459,6 +459,45 @@ class TestPersistence:
         assert header == {"format_version": 1}
         assert np.array_equal(loaded, blocks)
 
+    @staticmethod
+    def load_piped(path):
+        """``load`` of the bytes of ``path`` read through an anonymous pipe,
+        whose size reads 0, so the records go through the spill path."""
+        read_fd, write_fd = os.pipe()
+
+        def write():
+            with os.fdopen(write_fd, "wb") as fh:
+                fh.write(path.read_bytes())
+
+        writer = threading.Thread(target=write, daemon=True)
+        writer.start()
+        try:
+            return load(f"/dev/fd/{read_fd}")
+        finally:
+            writer.join(timeout=10)
+            os.close(read_fd)
+            assert not writer.is_alive()
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_persisted_file_through_a_pipe(self, tmp_path):
+        cfg = DatasetConfig(mode="variable", n_blocks=RECORD_SLICE + 5, rng_seed=3)
+        path = tmp_path / "ds.txt"
+        persist(generate_dataset(cfg), cfg, path)
+        loaded, header = self.load_piped(path)
+        from_file, file_header = load(path)
+        assert np.array_equal(loaded, from_file) and header == file_header == cfg.as_dict()
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    @pytest.mark.parametrize("n_blocks", [0, 4, 6])
+    def test_piped_record_count_checked_against_header(self, tmp_path, n_blocks):
+        cfg = DatasetConfig(n_blocks=5, rng_seed=1)
+        path = tmp_path / "ds.txt"
+        path.write_text(json.dumps(dict(cfg.as_dict(), n_blocks=n_blocks)) + "\n"
+                        + "\n".join(to_hex(generate_dataset(cfg))) + "\n")
+        with pytest.raises(DatasetFormatError, match=f"n_blocks={n_blocks}") as exc:
+            self.load_piped(path)
+        assert exc.value.line == 1
+
     def test_load_peak(self, tmp_path):
         # the records are decoded a slice at a time into one array: no
         # chunk list beside it, nor thousands of lines of text

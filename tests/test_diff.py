@@ -284,6 +284,18 @@ class TestDrawnChunks:
         words = diff._words(np.random.default_rng(3).bit_generator, count, skip)
         assert np.array_equal(words, expect[skip:])
 
+    @pytest.mark.parametrize("bits", range(1, 32))
+    def test_narrow_draw_is_the_top_bits(self, bits):
+        # integers(0, 2^w) is Lemire's multiply-shift, which never rejects:
+        # the top w bits of the 32-bit words, leaving the generator alike
+        for count in (1, 6, 1001, 1 << 12):
+            narrow, full = np.random.default_rng(bits), np.random.default_rng(bits)
+            top = full.integers(0, 1 << 32, count, dtype=np.uint32) >> np.uint32(32 - bits)
+            assert np.array_equal(narrow.integers(0, 1 << bits, count, dtype=np.uint32), top)
+            for draw in (lambda g: g.integers(0, 1 << 32, 5, dtype=np.uint32),
+                         lambda g: g.random(3)):
+                assert np.array_equal(draw(narrow), draw(full))
+
 
 class TestSharedTrajectory:
     """``collision_trials`` equals one ``collision_trial_batch`` per delta,
@@ -355,6 +367,13 @@ class TestWorkingSet:
         # the draw of a whole batch alone was 4 MiB at 2^18 trials
         cfg = TrialConfig(trials=1 << 18, rounds=(1, 2))
         peak = traced_peak(lambda: collision_trials(default_delta_set(), cfg))
+        assert peak < 3 << 20
+
+    def test_toy_width_collision_trials_peak(self):
+        # each batch of narrow words was drawn whole: 33 MiB at 2^20 trials
+        cfg = TrialConfig(trials=1 << 20, rounds=(1, 2))
+        deltas = [(0, 0, 0, 1), (0, 0, 0x80, 0), (0,) * 7 + (1,)]
+        peak = traced_peak(lambda: collision_trials(deltas, cfg, word_bits=8))
         assert peak < 3 << 20
 
     def test_avalanche_peak(self):

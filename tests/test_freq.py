@@ -36,16 +36,15 @@ def counts_of(table: FrequencyTable) -> dict:
     return dict(zip(table.values.tolist(), table.counts.tolist()))
 
 
-def naive_counts(data: bytes, m_bits: int, overlapping: bool) -> Counter:
+def naive_counts(data: bytes, m_bits: int) -> Counter:
     """m-gram counts by slicing: m=8/16 big-endian byte grams sliding one
-    byte (two without overlap), m=32 little-endian aligned words."""
+    byte, m=32 little-endian aligned words."""
     if m_bits == 32:
         return Counter(int.from_bytes(data[i: i + 4], "little")
                        for i in range(0, len(data) - 3, 4))
     width = m_bits // 8
-    step = 1 if overlapping else width
     return Counter(int.from_bytes(data[i: i + width], "big")
-                   for i in range(0, len(data) - width + 1, step))
+                   for i in range(len(data) - width + 1))
 
 
 class TestExtract:
@@ -59,11 +58,6 @@ class TestExtract:
         table = extract_mgrams(b"\xab\xcd\xab", MGramSpec(16))
         assert table.n == 2
         assert counts_of(table) == {0xABCD: 1, 0xCDAB: 1}
-
-    def test_m16_non_overlapping(self):
-        table = extract_mgrams(b"\xab\xcd\xab\xcd\xee", MGramSpec(16, overlapping=False))
-        assert table.n == 2
-        assert counts_of(table) == {0xABCD: 2}
 
     def test_m32_word_aligned_little_endian(self):
         data = b"\x01\x00\x00\x00" * 3 + b"\x02\x00\x00\x00" + b"\xff"
@@ -82,12 +76,11 @@ class TestExtract:
             | st.lists(st.sampled_from([0x00, 0x01, 0xFF]), min_size=2 * k + 1,
                        max_size=2 * k + 1).map(bytes)),
         m_bits=st.sampled_from([8, 16, 32]),
-        overlapping=st.booleans(),
         k=st.integers(1, 12),
     )
-    def test_counts_match_naive(self, data, m_bits, overlapping, k):
-        table = extract_mgrams(data, MGramSpec(m_bits, overlapping))
-        naive = naive_counts(data, m_bits, overlapping)
+    def test_counts_match_naive(self, data, m_bits, k):
+        table = extract_mgrams(data, MGramSpec(m_bits))
+        naive = naive_counts(data, m_bits)
         assert table.n == sum(naive.values())
         assert table.values.tolist() == sorted(naive)
         assert counts_of(table) == naive
@@ -111,16 +104,15 @@ class TestChunkBoundaries:
         data=st.binary(min_size=4, max_size=80)
         | st.lists(st.sampled_from([0x00, 0x01, 0xFF]), min_size=4, max_size=80).map(bytes),
         m_bits=st.sampled_from([8, 16, 32]),
-        overlapping=st.booleans(),
         chunk=st.integers(1, 7),
         k=st.integers(1, 12),
     )
-    def test_counts_match_counter(self, data, m_bits, overlapping, chunk, k):
+    def test_counts_match_counter(self, data, m_bits, chunk, k):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(freq, "COUNT_CHUNK", chunk)
-            table = extract_mgrams(data, MGramSpec(m_bits, overlapping))
+            table = extract_mgrams(data, MGramSpec(m_bits))
             ranked = top_k(table, k)
-        naive = naive_counts(data, m_bits, overlapping)
+        naive = naive_counts(data, m_bits)
         assert table.n == sum(naive.values())
         assert counts_of(table) == naive
         assert table.values.tolist() == sorted(naive)
