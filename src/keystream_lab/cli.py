@@ -137,19 +137,18 @@ def cmd_freq(args) -> int:
 def _freq_width(data: memoryview, m: int, args, run_config: dict, outdir: Path) -> bool:
     """Count, test and report the m-bit grams; True if ``--baseline`` fails.
     One width's table is freed on return, before the next is counted."""
-    cfg = freq.SignificanceConfig()
     table = freq.extract_mgrams(data, freq.MGramSpec(m_bits=m))
     # one plain stderr line per low-count warning, not warnings' display
     # of this file's path, line number and source line
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        stat, ok = freq.chi_square(table, cfg)
+        stat, ok = freq.chi_square(table)
     for warning in caught:
         print(f"warning: {warning.message}", file=sys.stderr)
-    hits = freq.scan_significant(table, cfg)
+    hits = freq.scan_significant(table)
     rows = []
     for pattern, count in freq.top_k(table, args.top):
-        zres = freq.z_score(table, pattern, cfg)
+        zres = freq.z_score(table, pattern)
         rows.append(
             {
                 "pattern_hex": f"{pattern:0{m // 4}x}",
@@ -367,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", parents=[seeded], help="rotation-constant sweep")
     p.add_argument("--sets", default="16,12,8,7,4,2;7,9,13,18,4,2;17,13,9,5,3,2")
     p.add_argument("--trials", type=int, default=1 << 18)
-    p.add_argument("--rounds", type=int, nargs="+", default=[4])
+    p.add_argument("--rounds", type=int, nargs=1, default=[4])
     p.add_argument("--out")
 
     p = sub.add_parser("bench", parents=[seeded], help="engine throughput and accuracy")

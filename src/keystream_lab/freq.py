@@ -21,7 +21,7 @@ import numpy as np
 from ._tails import chdtri, ndtri
 
 FOLD_BUCKETS = 1 << 16
-COUNT_CHUNK = 1 << 16  # grams per bincount call, values per fold or top_k step
+COUNT_CHUNK = 1 << 16  # grams per widened bincount chunk, values per fold or top_k step
 
 
 @dataclass(frozen=True)
@@ -103,13 +103,6 @@ class ZScoreResult:
     significant: bool
 
 
-def _bincount(cells: np.ndarray, grams: np.ndarray) -> None:
-    """Add the count of each gram to ``cells``.  bincount widens its input to
-    intp, so it runs in chunks to bound that copy."""
-    for _, chunk in _chunks(grams):
-        cells += np.bincount(chunk, minlength=len(cells))
-
-
 def _sorted_runs(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct ``words`` (ascending) and their counts, from one sorted
     copy; each temporary is freed before the next is allocated.  The counts
@@ -155,10 +148,15 @@ def extract_mgrams(keystream, spec: MGramSpec) -> FrequencyTable:
     # big-endian grams; pass i reads those at offsets congruent to i mod width
     width, n = spec.m_bits // 8, 0
     cells = np.zeros(1 << spec.m_bits, dtype=np.int64)
+    # each chunk is widened into this buffer, so bincount makes no intp copy
+    wide = np.empty(min(len(data), COUNT_CHUNK), dtype=np.intp)
     for i in range(width):
         grams = data[i: i + (len(data) - i) // width * width].view(f">u{width}")
-        _bincount(cells, grams)
+        for _, chunk in _chunks(grams):
+            np.copyto(wide[: len(chunk)], chunk)
+            cells += np.bincount(wide[: len(chunk)], minlength=len(cells))
         n += len(grams)
+    del wide  # freed before the values and counts are built
     values = np.flatnonzero(cells).astype(np.uint32)
     return FrequencyTable(values, cells[values], n, spec.m_bits, cells)
 

@@ -410,6 +410,15 @@ class TestDiffCommands:
         assert rc == cli.EXIT_OK
         assert capsys.readouterr().out.count("mean_flipped") == 2
 
+    def test_sweep_takes_one_rounds_value(self, tmp_path, capsys):
+        # a sweep reports its largest round count only, so a second value
+        # would be counted and dropped
+        out = tmp_path / "sweep.csv"
+        assert run(["sweep", "--trials", str(1 << 10), "--rounds", "2", "4",
+                    "--seed", "0", "--out", str(out)]) == cli.EXIT_USAGE
+        assert not capsys.readouterr().out
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("rounds", ["0", "-2"])
     @pytest.mark.parametrize("argv", [
         ["diff", "--trials", str(1 << 10), "--rounds", "1"],

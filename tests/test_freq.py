@@ -164,6 +164,13 @@ class TestWorkingSet:
         peak = traced_peak(lambda: extract_mgrams(keystream, MGramSpec(8)))
         assert peak < 1 << 20
 
+    def test_m16_peak(self, keystream):
+        # the int64 cells, one chunk widened to intp and bincount's result
+        # (512 KiB each); the widened chunk held while the values and counts
+        # are built took it to 1.81 MiB
+        peak = traced_peak(lambda: extract_mgrams(keystream, MGramSpec(16)))
+        assert peak < 1.6 * (1 << 20)
+
     def test_m32_peak(self, keystream):
         # the sorted copy, the distinct values and their uint32 counts (352
         # KiB each for 90,000 words), the int64 cells (512 KiB) and a chunk's
