@@ -131,7 +131,9 @@ def _check_words(name: str, words, expected: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class KeyMaterial:
-    """256-bit key, 128-bit nonce and 128-bit block counter as 32-bit words."""
+    """256-bit key, 128-bit nonce and 128-bit block counter as 32-bit words.
+    :meth:`from_bytes` zero-fills a short nonce: an 8-byte nonce leaves
+    n2 = n3 = 0."""
 
     key: tuple[int, ...]
     nonce: tuple[int, ...] = (0, 0, 0, 0)
@@ -165,15 +167,12 @@ class CipherConfig:
     rounds: int = 20
     schedule: str = "echacha-colrow-v1"
     padding: str = "zero"
-    nonce_bits: int = 128
 
     def __post_init__(self):
         if self.schedule not in SCHEDULE_PRESETS:
             raise ValueError(f"unknown schedule preset {self.schedule!r}")
         if self.padding not in ("zero", "constant"):
             raise ValueError(f"unknown padding rule {self.padding!r}")
-        if self.nonce_bits not in (64, 128):
-            raise ValueError("nonce_bits must be 64 or 128")
         if self.rounds < 2 or self.rounds % 2 != 0:
             raise ValueError("rounds must be a positive even integer")
 
@@ -224,16 +223,14 @@ CHACHA20_WAVES = (
 def init_state(km: KeyMaterial, config: CipherConfig) -> list[int]:
     """Build the 36-word initial state.
 
-    Rows 0-3 hold constants, key, nonce, counter and four zero words; rows
-    4-5 follow the configured padding rule (all-zero by default, or the four
-    constants repeated cyclically with ``padding="constant"``).
+    Rows 0-3 hold constants, key, nonce, counter and four zero words; the
+    nonce is always state words 12-15 (an 8-byte nonce from
+    :meth:`KeyMaterial.from_bytes` leaves n2 = n3 = 0).  Rows 4-5 follow
+    the configured padding rule (all-zero by default, or the four constants
+    repeated cyclically with ``padding="constant"``).
     """
-    nonce = km.nonce
-    if config.nonce_bits == 64:
-        if nonce[2] or nonce[3]:
-            raise ValueError("64-bit nonce mode requires nonce words n2, n3 = 0")
     pad = [0] * 12 if config.padding == "zero" else [CONSTANTS[i % 4] for i in range(12)]
-    return [*CONSTANTS, *km.key, *nonce, *km.counter, 0, 0, 0, 0, *pad]
+    return [*CONSTANTS, *km.key, *km.nonce, *km.counter, 0, 0, 0, 0, *pad]
 
 
 #: Indices of key word k0, nonce word n0 and counter word c0 in the

@@ -152,21 +152,18 @@ def generate_dataset(cfg: DatasetConfig) -> np.ndarray:
     """
     gen = SeededGenerator(cfg.rng_seed) if cfg.entropy == "seeded" else OsEntropyGenerator()
     ccfg, n = cfg.cipher, cfg.n_blocks
-    nonce_words = ccfg.nonce_bits // 32
     if cfg.mode == "fixed":
-        key, base = np.split(gen.words(8 + nonce_words), [8])
+        key, base = np.split(gen.words(12), [8])
     template = np.array(init_state(KeyMaterial((0,) * 8), ccfg), dtype=np.uint32)
     out = np.empty((n, STATE_WORDS), dtype=np.uint32)
     for start in range(0, n, CHUNK_BLOCKS):
         size = min(CHUNK_BLOCKS, n - start)
-        if cfg.mode == "fixed":
-            keys, nonces = key[:, None], word_range(base, size, start)
-        else:
-            drawn = gen.words((8 + nonce_words) * size).reshape(size, -1).T
-            keys, nonces = drawn[:8], drawn[8:]
         states = np.repeat(template[:, None], size, axis=1)
-        states[KEY_BASE:KEY_BASE + 8] = keys
-        states[NONCE_BASE:NONCE_BASE + nonce_words] = nonces
+        if cfg.mode == "fixed":
+            states[KEY_BASE:NONCE_BASE] = key[:, None]
+            states[NONCE_BASE:NONCE_BASE + 4] = word_range(base, size, start)
+        else:   # per block, 8 key words then 4 nonce words: state words 4-15
+            states[KEY_BASE:NONCE_BASE + 4] = gen.words(12 * size).reshape(size, 12).T
         out[start:start + size] = block_words_batch(states, ccfg).T
     return out
 

@@ -125,6 +125,16 @@ class TestKeyMaterial:
         assert km.nonce == struct.unpack("<4I", bytes(range(16)))
         assert km.counter == (5, 0, 0, 0)
 
+    def test_from_bytes_8_byte_nonce_zero_fills(self):
+        # a 64-bit nonce is the 128-bit nonce with n2 = n3 = 0
+        key, nonce = bytes(range(32)), bytes(range(200, 208))
+        km = KeyMaterial.from_bytes(key, nonce, counter=3)
+        n0, n1 = struct.unpack("<2I", nonce)
+        assert km.nonce == (n0, n1, 0, 0)
+        words = KeyMaterial(struct.unpack("<8I", key), (n0, n1, 0, 0), (3, 0, 0, 0))
+        cfg = CipherConfig()
+        assert block(init_state(km, cfg), cfg) == block(init_state(words, cfg), cfg)
+
     def test_from_bytes_counter_split(self):
         km = KeyMaterial.from_bytes(bytes(32), counter=(1 << 32) + 7)
         assert km.counter == (7, 1, 0, 0)
@@ -147,7 +157,6 @@ class TestCipherConfig:
         cfg = CipherConfig()
         assert cfg.rounds == 20
         assert cfg.qrf_variant == "native"
-        assert cfg.nonce_bits == 128
 
     def test_rfc_preset_selects_rfc_qrf(self):
         assert CipherConfig(schedule="rfc-style-qrf").qrf_variant == "rfc"
@@ -165,8 +174,6 @@ class TestCipherConfig:
             CipherConfig(schedule="bogus")
         with pytest.raises(ValueError):
             CipherConfig(padding="ones")
-        with pytest.raises(ValueError):
-            CipherConfig(nonce_bits=96)
 
 
 class TestInitState:
@@ -187,13 +194,6 @@ class TestInitState:
         assert tuple(state[24:28]) == CONSTANTS
         assert tuple(state[28:32]) == CONSTANTS
         assert tuple(state[32:36]) == CONSTANTS
-
-    def test_64_bit_nonce_mode_enforced(self):
-        km = KeyMaterial(tuple(range(8)), nonce=(1, 2, 3, 0))
-        with pytest.raises(ValueError):
-            init_state(km, CipherConfig(nonce_bits=64))
-        km_ok = KeyMaterial(tuple(range(8)), nonce=(1, 2, 0, 0))
-        assert init_state(km_ok, CipherConfig(nonce_bits=64))[12:14] == [1, 2]
 
 
 class TestBlock:

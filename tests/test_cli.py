@@ -17,6 +17,14 @@ def run(argv):
     return cli.main(argv)
 
 
+def module_env() -> dict:
+    """The environment of a fresh interpreter that imports the package from
+    this checkout."""
+    src = os.path.dirname(os.path.dirname(keystream_lab.__file__))
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")])}
+
+
 @pytest.fixture
 def small_dataset(tmp_path):
     path = tmp_path / "ds.txt"
@@ -314,14 +322,11 @@ class TestConfigHash:
     def test_same_across_identical_processes(self, tmp_path):
         # the hash once covered the command function's repr, whose memory
         # address differs between processes
-        src = os.path.dirname(os.path.dirname(keystream_lab.__file__))
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            [src, os.environ.get("PYTHONPATH", "")])}
         out, hashes = tmp_path / "a.csv", []
         for _ in range(2):
             subprocess.run([sys.executable, "-m", "keystream_lab.cli", "avalanche",
                             "--rounds", "1", "--trials", "64", "--seed", "3",
-                            "--out", str(out)], env=env, check=True,
+                            "--out", str(out)], env=module_env(), check=True,
                            stdout=subprocess.DEVNULL)
             hashes.append(csv_hash(out))
         assert hashes[0] == hashes[1]
@@ -341,6 +346,31 @@ class TestConfigHash:
             assert run(argv) == cli.EXIT_OK
             hashes.append(csv_hash(out))
         assert hashes[0] == hashes[1] != hashes[2]
+
+    def test_header_with_nonce_bits_loads(self, small_dataset, tmp_path):
+        # every file written before the nonce width left the header carries
+        # "nonce_bits": 128; it loads, and freq and scan write the same rows
+        # from it, under a hash of its own header
+        old = tmp_path / "old.txt"
+        _, *records = small_dataset.read_text().splitlines(keepends=True)
+        old.write_text(
+            '{"cipher": {"nonce_bits": 128, "padding": "zero", "rounds": 20, '
+            '"schedule": "echacha-colrow-v1"}, "entropy": "seeded", "format_version": 1, '
+            '"mode": "fixed", "n_blocks": 64, "rng_seed": 1}\n' + "".join(records))
+        (old_blocks, old_header), (blocks, new_header) = map(dataset.load, (old, small_dataset))
+        assert np.array_equal(old_blocks, blocks)
+        assert old_header == {**new_header, "cipher": {**new_header["cipher"],
+                                                       "nonce_bits": 128}}
+        for path in (old, small_dataset):
+            out = tmp_path / path.stem
+            assert run(["freq", "--dataset", str(path), "--m", "8", "16", "32",
+                        "--out-dir", str(out)]) == cli.EXIT_OK
+            assert run(["scan", "--dataset", str(path), "--alphabet", "byte",
+                        "--pattern", "00", "--out", str(out / "scan.csv")]) == cli.EXIT_OK
+        for name in ("freq_m8.csv", "freq_m16.csv", "freq_m32.csv", "scan.csv"):
+            old_csv, new_csv = tmp_path / "old" / name, tmp_path / "ds" / name
+            assert read_rows(old_csv) == read_rows(new_csv) != []
+            assert csv_hash(old_csv) != csv_hash(new_csv)
 
     def test_os_entropy_header(self, tmp_path):
         path = tmp_path / "ds.txt"
@@ -562,6 +592,13 @@ class TestUsage:
     def test_help_exits_ok(self, capsys):
         assert run(["--help"]) == cli.EXIT_OK
         assert "{" + ",".join(self.COMMANDS) + "}" in capsys.readouterr().out
+
+    def test_module_entry_point(self):
+        # python -m keystream_lab.cli exits with main's code
+        done = subprocess.run([sys.executable, "-m", "keystream_lab.cli", "--help"],
+                              env=module_env(), capture_output=True, text=True)
+        assert done.returncode == cli.EXIT_OK
+        assert "{" + ",".join(self.COMMANDS) + "}" in done.stdout
 
     @pytest.mark.parametrize("command", COMMANDS)
     def test_command_help_exits_ok(self, command, capsys):

@@ -9,7 +9,6 @@ from hypothesis import example, given, settings, strategies as st
 from keystream_lab import dataset
 from keystream_lab.cipher import (
     BLOCK_BYTES,
-    CipherConfig,
     KeyMaterial,
     MASK32,
     block,
@@ -123,6 +122,10 @@ class TestConfig:
         assert d["format_version"] == 1
         assert d["cipher"]["rounds"] == 20
 
+    def test_cipher_header_fields(self):
+        # the nonce is always four words, so the header names no nonce width
+        assert set(DatasetConfig().as_dict()["cipher"]) == {"padding", "rounds", "schedule"}
+
 
 class TestGenerate:
     def test_deterministic_per_seed(self):
@@ -169,19 +172,6 @@ class TestGenerate:
             expect = block(init_state(km, cfg.cipher), cfg.cipher)
             assert raw(blk) == expect
 
-    def test_64_bit_nonce_wraps_in_width(self):
-        ccfg = CipherConfig(nonce_bits=64)
-        cfg = DatasetConfig(mode="fixed", n_blocks=3, rng_seed=2, cipher=ccfg)
-        blocks = generate_dataset(cfg)
-        assert len(blocks) == 3
-        gen = SeededGenerator(2)
-        key, (n0, n1) = gen.words(8), gen.words(2).tolist()
-        base = n0 | n1 << 32
-        for i, blk in enumerate(blocks):
-            v = (base + i) % (1 << 64)
-            km = KeyMaterial(key, (v & MASK32, v >> 32, 0, 0))
-            assert raw(blk) == block(init_state(km, ccfg), ccfg)
-
     def test_batch_boundary_invariant(self, monkeypatch):
         cfg = DatasetConfig(mode="variable", n_blocks=30, rng_seed=9)
         default = dataset_bytes(generate_dataset(cfg))
@@ -195,21 +185,20 @@ class TestGenerate:
 
 def one_draw_reference(cfg: DatasetConfig) -> list[bytes]:
     """Each block of ``cfg`` from one draw of all its key material, block by
-    block: key words, then nonce words per block (fixed mode: one key and a
-    base nonce, counted up per block in its width)."""
+    block: 8 key words, then 4 nonce words per block (fixed mode: one key and
+    a base nonce, counted up per block mod 2^128)."""
     ccfg, n = cfg.cipher, cfg.n_blocks
-    width = ccfg.nonce_bits // 32
     draws = 1 if cfg.mode == "fixed" else n
-    drawn = SeededGenerator(cfg.rng_seed).words((8 + width) * draws).reshape(draws, -1).tolist()
+    drawn = SeededGenerator(cfg.rng_seed).words(12 * draws).reshape(draws, 12).tolist()
     out = []
     for i in range(n):
         if cfg.mode == "fixed":
             base = sum(w << (32 * j) for j, w in enumerate(drawn[0][8:]))
-            v = (base + i) % (1 << (32 * width))
-            key, nonce = drawn[0][:8], [(v >> (32 * j)) & MASK32 for j in range(width)]
+            v = (base + i) % (1 << 128)
+            key, nonce = drawn[0][:8], [(v >> (32 * j)) & MASK32 for j in range(4)]
         else:
             key, nonce = drawn[i][:8], drawn[i][8:]
-        km = KeyMaterial(key, tuple(nonce) + (0,) * (4 - width))
+        km = KeyMaterial(key, tuple(nonce))
         out.append(block(init_state(km, ccfg), ccfg))
     return out
 
@@ -226,12 +215,10 @@ class TestChunkBoundaries:
         multiple=st.integers(1, 3),
         offset=st.integers(-1, 1),
         seed=st.integers(0, (1 << 64) - 1),
-        nonce_bits=st.sampled_from([64, 128]),
     )
-    def test_matches_one_draw_reference(self, mode, chunk, multiple, offset, seed,
-                                        nonce_bits):
+    def test_matches_one_draw_reference(self, mode, chunk, multiple, offset, seed):
         cfg = DatasetConfig(mode=mode, n_blocks=max(1, chunk * multiple + offset),
-                            rng_seed=seed, cipher=CipherConfig(nonce_bits=nonce_bits))
+                            rng_seed=seed)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(dataset, "CHUNK_BLOCKS", chunk)
             blocks = generate_dataset(cfg)

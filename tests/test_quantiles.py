@@ -73,6 +73,33 @@ def test_chdtri_matches_scipy(df, q):
     assert math.isclose(_tails.chdtri(df, q), special.chdtri(df, q), rel_tol=1e-12)
 
 
+@pytest.mark.parametrize("a, x", [(0.5, 2.0), (1.0, 5.0), (10.0, 20.0), (127.5, 200.0)])
+def test_lower_gamma_tail_by_continued_fraction(a, x):
+    # x >= a + 1 takes the continued fraction, which gives Q; P is 1 - Q
+    log_p, ratio = _tails._log_gamma_tail(a, x, upper=False)
+    assert math.isclose(math.exp(log_p), special.gammainc(a, x), rel_tol=1e-12)
+    density = math.exp((a - 1.0) * math.log(x) - x - math.lgamma(a))
+    assert math.isclose(ratio, special.gammainc(a, x) / (x * density), rel_tol=1e-10)
+
+
+def test_newton_starts_inside_its_bracket():
+    # from outside (lo, hi) the first step is taken at the bracket's midpoint
+    seen = []
+
+    def step(x):
+        seen.append(x)
+        return 2.0 - x
+
+    assert _tails._newton(step, 10.0, 0.0, 4.0) == 2.0
+    assert seen[0] == 2.0
+
+
+@pytest.mark.parametrize("hi", [4.0, math.inf])
+def test_newton_raises_when_steps_never_converge(hi):
+    with pytest.raises(ArithmeticError, match="did not converge"):
+        _tails._newton(lambda x: math.nan, 1.0, 0.0, hi)
+
+
 def test_chdtri_is_memoised():
     # freq asks for df = 65,535 twice: for m = 16 and for m = 32
     _tails.chdtri.cache_clear()

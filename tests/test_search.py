@@ -35,6 +35,14 @@ class TestStreams:
         s = SymbolStream.from_bytes(b"\x01\x00\x00\x00\xff\x00\x00\x00", "word")
         assert s.symbols == (1, 0xFF)
 
+    @pytest.mark.parametrize("alphabet", ["byte", "word"])
+    def test_from_bytes_copies_a_writable_buffer(self, alphabet):
+        data = bytearray(range(1, 9))
+        s = SymbolStream.from_bytes(data, alphabet)
+        before = s.symbols
+        data[:] = bytes(8)
+        assert s.symbols == before != (0,) * len(s)
+
     @pytest.mark.parametrize("extra", [1, 2, 3])
     def test_from_bytes_word_rejects_partial_word(self, extra):
         with pytest.raises(ValueError):
