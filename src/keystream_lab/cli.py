@@ -60,9 +60,9 @@ def _load_dataset(path: str) -> tuple[memoryview, dict]:
 
 
 def _run_config(args, dataset_id: dict | None = None) -> dict:
-    """What a run's config hash covers: the parsed options and the identity
-    of the dataset analysed, if any."""
-    config = dict(vars(args))
+    """What a run's config hash covers: the parsed options except the
+    output paths, and the identity of the dataset analysed, if any."""
+    config = {k: v for k, v in vars(args).items() if k not in ("out", "out_dir")}
     if dataset_id is not None:
         config["dataset"] = dataset_id
     return config

@@ -13,10 +13,10 @@ x' = x xor delta per delta run in place by ``cipher._round_step``, the
 block function's round step, ``_LANES`` lanes at a time, and y xor y' is
 read off after each reported round.  The working set is fixed:
 every campaign reads each chunk's words straight from the rng stream
-(``_drawn_chunks``), and x', y xor y' and the chunk words sit in buffers
-allocated once per call.  The avalanche counts the
-output-bit flips of each chunk with one positional popcount,
-``_bit_counts``, whose byte fields each sum at most 255 lanes.
+into one contiguous (4, m, k) array of quads (``_drawn_chunks``), and x',
+y xor y' and the chunk words sit in buffers allocated once per call.  The
+avalanche counts the output-bit flips of each chunk with one positional
+popcount, ``_bit_counts``, whose byte fields each sum at most 255 lanes.
 """
 
 from __future__ import annotations
@@ -38,11 +38,6 @@ _LANES = 1 << 14
 _FIELD_LANES = 255  # lanes per _bit_counts block: a byte field holds 255 one-bits
 
 
-def _lane_chunks(n: int):
-    """Slices of at most ``_LANES`` lanes covering range(n), in order."""
-    return (slice(start, min(start + _LANES, n)) for start in range(0, n, _LANES))
-
-
 def _words(bitgen, count: int, skip: int) -> np.ndarray:
     """Words ``skip`` to ``skip + count - 1`` of the uint32 stream that
     ``Generator(bitgen).integers(0, 2**32, dtype=np.uint32)`` draws next,
@@ -59,36 +54,31 @@ def _words(bitgen, count: int, skip: int) -> np.ndarray:
 
 
 def _drawn_chunks(rng, draws):
-    """Draw ``rng.integers(0, 2**32, (rows, n), dtype=np.uint32)`` for each
-    (rows, n) of ``draws`` in turn, and yield (j, x) for each chunk of draw
-    j, in order: x is the (rows, k) array of its next k columns, k at most
-    ``_LANES``.
+    """Draw ``rng.integers(0, 2**32, (4 * m, n), dtype=np.uint32)`` for each
+    (m, n) of ``draws`` in turn, and yield (j, lanes, x) for each chunk of
+    draw j, in order: ``lanes`` is the slice of its next k columns, k at
+    most ``_LANES``, and x the C-contiguous (4, m, k) array of m quads that
+    holds row r of those columns at ``x[r % 4, r // 4]``.
 
-    No draw is held whole.  Row i's words for lanes [s, s + k) sit at
-    offset i * n + s of the draw's stream, and each chunk reads them with
+    No draw is held whole.  Row r's words for lanes [s, s + k) sit at
+    offset r * n + s of the draw's stream, and each chunk reads them with
     :func:`_words` from a copy of rng's state into one buffer, refilled per
     chunk: x is valid until the generator resumes.  After each draw rng is
-    advanced to where ``integers`` would leave it, so ``rows * n`` must be
-    even.
+    advanced to where ``integers`` would leave it: 4mn words are 2mn whole
+    outputs.
     """
-    buf = np.empty(max(rows * min(n, _LANES) for rows, n in draws), dtype=np.uint32)
+    buf = np.empty(max(4 * m * min(n, _LANES) for m, n in draws), dtype=np.uint32)
     bitgen = np.random.PCG64(0)
-    for j, (rows, n) in enumerate(draws):
+    for j, (m, n) in enumerate(draws):
         state = rng.bit_generator.state
-        for lanes in _lane_chunks(n):
-            k = lanes.stop - lanes.start
-            x = buf[:rows * k].reshape(rows, k)
-            for i, row in enumerate(x):
+        for start in range(0, n, _LANES):
+            k = min(_LANES, n - start)
+            x = buf[:4 * m * k].reshape(4, m, k)
+            for r in range(4 * m):
                 bitgen.state = state
-                row[:] = _words(bitgen, k, i * n + lanes.start)
-            yield j, x
-        rng.bit_generator.advance(rows * n // 2)
-
-
-def _quads(x) -> np.ndarray:
-    """The (4 * m, k) chunk x as a (4, m, k) view: [i, j, t] is word i of
-    quad j of lane t."""
-    return x.reshape(-1, 4, x.shape[-1]).transpose(1, 0, 2)
+                x[r % 4, r // 4] = _words(bitgen, k, r * n + start)
+            yield j, slice(start, start + k), x
+        rng.bit_generator.advance(2 * m * n)
 
 
 def _paired_chunks(chunks, report, step):
@@ -254,12 +244,12 @@ def _weight_counts(deltas, cfg: TrialConfig, rotations, word_bits: int):
     # dqs[k][i, q, 0] is word i of quad q of difference k
     dqs = [np.array(delta, dtype=np.uint32).reshape(n_quads, 4).T[:, :, None]
            for delta in deltas]
-    draws = [(4 * n_quads, min(_BATCH, cfg.trials - start))
+    draws = [(n_quads, min(_BATCH, cfg.trials - start))
              for start in range(0, cfg.trials, _BATCH)]
     rng = np.random.default_rng(cfg.rng_seed)
     shift = np.uint32(32 - word_bits)
-    chunks = ((None, _quads(np.right_shift(x, shift, out=x) if shift else x), dqs)
-              for _, x in _drawn_chunks(rng, draws))
+    chunks = ((None, np.right_shift(x, shift, out=x) if shift else x, dqs)
+              for _, _, x in _drawn_chunks(rng, draws))
     step = _round_step(rotations=rotations, word_bits=word_bits)
     for r, _, ds in _paired_chunks(chunks, cfg.rounds, step):
         for k, d in enumerate(ds):
@@ -333,13 +323,13 @@ def avalanche_profile(
     evaluated with and without that bit flipped and output bit flips are
     counted.  rounds=0 is the identity map (exact indicator profile).
 
-    Rows run in groups of ``max(1, _LANES // trials)``, side by side as one
-    (4, rows, trials) lane array through the kernel, the flipped bit of each
-    row broadcast over its trials.  A group's words are one
-    (rows, 4, trials) draw, the same rng stream as a (4, trials) draw per
-    row, read chunk by chunk by :func:`_drawn_chunks`.  Flips are counted
-    exactly on each kernel chunk by :func:`_bit_counts`, a positional
-    popcount whose byte fields sum at most 255 lanes at a time.
+    Rows run in groups of ``max(1, _LANES // trials)``: a group's words are
+    one (rows, 4, trials) draw, the same rng stream as a (4, trials) draw
+    per row, and :func:`_drawn_chunks` reads it as (4, rows, k) chunks of
+    quads, quad j being the group's row j, its flipped bit broadcast over
+    its k lanes.  Flips are counted exactly on each kernel chunk by
+    :func:`_bit_counts`, a positional popcount whose byte fields sum at
+    most 255 lanes at a time.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -353,10 +343,8 @@ def avalanche_profile(
     flip[bits // 32, bits, 0] = np.uint32(1) << (bits % 32).astype(np.uint32)
     size = max(1, _LANES // trials)
     groups = [slice(start, min(start + size, 128)) for start in range(0, 128, size)]
-    draws = [(4 * (rows.stop - rows.start), trials) for rows in groups]
-    # quad j of a chunk is the group's row j
-    chunks = ((groups[g], _quads(x), [flip[:, groups[g]]])
-              for g, x in _drawn_chunks(rng, draws))
+    draws = [(rows.stop - rows.start, trials) for rows in groups]
+    chunks = ((groups[g], x, [flip[:, groups[g]]]) for g, _, x in _drawn_chunks(rng, draws))
     step = _round_step(rotations=rotations, variant=qrf_variant)
     for _, rows, (dl,) in _paired_chunks(chunks, (rounds,), step):
         counts[rows] += _bit_counts(dl)
@@ -414,12 +402,12 @@ def _flipped_bits(n: int, rounds: int, rotations, rng_seed: int) -> np.ndarray:
     word = tail.integers(0, 4, n)
     bit = tail.integers(0, 32, n, dtype=np.uint32)
     rng = np.random.default_rng(rng_seed ^ 0x5EED)
-    chunks = ((lanes, x, [np.where(word[lanes] == np.arange(4)[:, None],
+    chunks = ((lanes, x, [np.where(word[lanes] == np.arange(4)[:, None, None],
                                    np.uint32(1) << bit[lanes], np.uint32(0))])
-              for lanes, (_, x) in zip(_lane_chunks(n), _drawn_chunks(rng, [(4, n)])))
+              for _, lanes, x in _drawn_chunks(rng, [(1, n)]))
     hw = np.empty(n, dtype=np.int64)
     for _, lanes, (d,) in _paired_chunks(chunks, (rounds,), _round_step(rotations=rotations)):
-        hw[lanes] = np.bitwise_count(d).sum(axis=0, dtype=np.int64)
+        hw[lanes] = np.bitwise_count(d).sum(axis=(0, 1), dtype=np.int64)
     return hw
 
 

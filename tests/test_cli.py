@@ -331,6 +331,19 @@ class TestConfigHash:
             hashes.append(csv_hash(out))
         assert hashes[0] == hashes[1]
 
+    @pytest.mark.parametrize("argv, name", [
+        (["diff", "--trials", "1024", "--rounds", "1", "2", "--seed", "3", "--out-dir"],
+         "collision_stats.csv"),
+        (["avalanche", "--rounds", "1", "--trials", "64", "--seed", "3", "--out"], "av.csv"),
+    ], ids=["diff", "avalanche"])
+    def test_ignores_output_location(self, tmp_path, argv, name):
+        # where a run writes is neither its dataset nor its analysis config
+        outs = [tmp_path / "a", tmp_path / "b"]
+        for out in outs:
+            out.mkdir()
+            assert run(argv + [str(out if argv[0] == "diff" else out / name)]) == cli.EXIT_OK
+        assert csv_hash(outs[0] / name) == csv_hash(outs[1] / name)
+
     @pytest.mark.parametrize("command", ["freq", "scan"])
     def test_tracks_dataset_at_same_path(self, tmp_path, command):
         # both commands write their CSV to `out`
@@ -531,7 +544,7 @@ class TestReport:
             assert run(argv) == cli.EXIT_OK
         for name in self.FILES:
             # the CSVs' first line is "# config_hash=...": the same options
-            # and out-dir hash the same, whichever command ran them
+            # hash the same, whichever command ran them
             assert (out / name).read_bytes() == from_report[name], name
 
     def test_diff_options_checked_before_any_step(self, tmp_path, capsys):
